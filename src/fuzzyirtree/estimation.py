@@ -4,7 +4,12 @@ Ratings are expanded into node-wise Bernoulli pseudo-observations; the
 Gaussian random effect per rater is integrated out with a Laplace
 approximation around the per-rater joint-likelihood mode, and the fixed
 effects plus covariance parameters are maximized by L-BFGS-B over the
-resulting marginal log-likelihood.
+resulting marginal log-likelihood. `laplace_marginal_loglik` also returns
+the exact gradient of that approximation, by the implicit-function rule of
+automatic Laplace approximation (Skaug & Fournier 2006; Kristensen et al.
+2016): the envelope term at the modes plus the derivative of
+-1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit,
+its convergence check and its standard errors all use that gradient.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import approx_fprime, minimize
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from .tree import ResponseTree
@@ -160,6 +165,17 @@ def _records_arrays(records):
     return item, node, z
 
 
+def _record_layout(alpha, item, node, trait_design):
+    """Per-record easiness and random-effect index of pseudo-observations.
+
+    `alpha` is (J,) for common items or (J, N) for per-node items.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    alpha_rec = alpha[item] if alpha.ndim == 1 else alpha[item, node]
+    re_node = node if trait_design == "per-node" else np.zeros(len(node), dtype=int)
+    return alpha_rec, re_node
+
+
 def joint_loglik(alpha, sigma, eta_i, records, trait_design="common"):
     """Joint log-likelihood of one rater: Bernoulli terms plus Gaussian prior.
 
@@ -173,9 +189,7 @@ def joint_loglik(alpha, sigma, eta_i, records, trait_design="common"):
     if sigma.shape != (d, d):
         raise ValueError(f"covariance must be {d}x{d}")
     item, node, z = _records_arrays(records)
-    alpha = np.asarray(alpha, dtype=float)
-    alpha_rec = alpha[item] if alpha.ndim == 1 else alpha[item, node]
-    re_node = node if trait_design == "per-node" else np.zeros(len(node), dtype=int)
+    alpha_rec, re_node = _record_layout(alpha, item, node, trait_design)
     lp = eta[re_node] + alpha_rec if len(z) else np.zeros(0)
     p = expit(lp)
     value = float(np.sum(z * lp - np.logaddexp(0.0, lp)))
@@ -241,31 +255,59 @@ def _solve_modes(alpha_rec, pseudo, re_node, d, sinv, logdet_sigma, eta0=None):
     )
 
 
-def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", _modes=None):
-    """Laplace-approximated marginal log-likelihood, summed over raters.
+def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
+                            eta0=None, gradient=False):
+    """Laplace-approximated marginal log-likelihood L, summed over raters.
 
     For each rater: joint value at the mode + (d/2) log(2 pi)
-    - 1/2 log det(-Hessian at the mode).
+    - 1/2 log det(-Hessian at the mode). `eta0` (I x d) starts the inner
+    Newton from given modes instead of zero.
+
+    With `gradient=True`, returns (L, dL/dalpha shaped like alpha, G, modes)
+    where G is the symmetric d x d matrix with dL = tr(G dSigma) and modes
+    is the I x d array of per-rater joint-likelihood maximizers.
     """
     if not isinstance(pseudo, PseudoData):
         raise TypeError("pseudo must be a PseudoData (see PseudoData.from_ratings)")
     sigma, sinv, logdet = _cov_inverse(sigma)
     d = sigma.shape[0]
     alpha = np.asarray(alpha, dtype=float)
-    alpha_rec = (
-        alpha[pseudo.item] if alpha.ndim == 1 else alpha[pseudo.item, pseudo.node]
-    )
-    re_node = (
-        pseudo.node if trait_design == "per-node" else np.zeros(len(pseudo), dtype=int)
-    )
-    eta, neg_hess, values = _solve_modes(alpha_rec, pseudo, re_node, d, sinv, logdet)
-    if _modes is not None:
-        _modes["eta"] = eta
+    alpha_rec, re_node = _record_layout(alpha, pseudo.item, pseudo.node, trait_design)
+    eta, neg_hess, values = _solve_modes(alpha_rec, pseudo, re_node, d, sinv, logdet, eta0)
     if d == 1:
         logdet_h = np.log(neg_hess[:, 0, 0])
     else:
         _, logdet_h = np.linalg.slogdet(neg_hess)
-    return float(np.sum(values + 0.5 * d * LOG_2PI - 0.5 * logdet_h))
+    value = float(np.sum(values + 0.5 * d * LOG_2PI - 0.5 * logdet_h))
+    if not gradient:
+        return value
+
+    # Per record k of rater i at node r: p = expit(lp), s = p(1-p),
+    # u = ds/dlp. With A_i = H_i^-1, t_i[n] = sum of u over i's records at
+    # node n and v_i = A_i (diag(A_i) * t_i), the derivative of
+    # -1/2 log det H_i through W_i and through the moving mode is
+    # -1/2 A_i[r,r] u + 1/2 v_i[r] s per record.
+    rater, n_raters = pseudo.rater, pseudo.I
+    p = expit(eta[rater, re_node] + alpha_rec)
+    s = p * (1.0 - p)
+    u = s * (1.0 - 2.0 * p)
+    a_inv = np.linalg.inv(neg_hess)
+    a_diag = np.diagonal(a_inv, axis1=1, axis2=2)
+    t = np.bincount(rater * d + re_node, weights=u, minlength=n_raters * d)
+    v = np.einsum("ide,ie->id", a_inv, a_diag * t.reshape(n_raters, d))
+    per_rec = (pseudo.z - p) - 0.5 * a_diag[rater, re_node] * u + 0.5 * v[rater, re_node] * s
+    if alpha.ndim == 1:
+        d_alpha = np.bincount(pseudo.item, weights=per_rec, minlength=alpha.size)
+    else:
+        n_cols = alpha.shape[1]
+        d_alpha = np.bincount(
+            pseudo.item * n_cols + pseudo.node, weights=per_rec, minlength=alpha.size
+        ).reshape(alpha.shape)
+    # G = 1/2 sum_i [-Q + Q eta eta' Q + Q A_i Q - 1/2 Q (v eta' + eta v') Q]
+    vt_eta = v.T @ eta
+    inner = eta.T @ eta + a_inv.sum(axis=0) - 0.5 * (vt_eta + vt_eta.T)
+    g_sigma = 0.5 * (sinv @ inner @ sinv - n_raters * sinv)
+    return value, d_alpha, 0.5 * (g_sigma + g_sigma.T), eta
 
 
 @dataclass
@@ -289,6 +331,8 @@ class FitResult:
     tree_digest: str
     warnings: list = field(default_factory=list)
     x: np.ndarray | None = None    # packed optimum (alpha params + cov params)
+    # how the fit got its answer; not part of the JSON artifact
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _n_cov_params(spec: ModelSpec) -> int:
@@ -306,13 +350,33 @@ def _unpack_cov(theta, spec: ModelSpec) -> np.ndarray:
         return np.exp(2.0 * theta[0]) * np.eye(d)
     if spec.covariance == "diagonal":
         return np.diag(np.exp(2.0 * theta))
-    low = np.zeros((d, d))
-    k = 0
-    for i in range(d):
-        for j in range(i + 1):
-            low[i, j] = np.exp(theta[k]) if i == j else theta[k]
-            k += 1
+    low = _cov_factor(theta, d)
     return low @ low.T
+
+
+def _cov_factor(theta, d: int) -> np.ndarray:
+    """Unstructured covariance factor: row-major lower triangle, log diagonal."""
+    low = np.zeros((d, d))
+    low[np.tril_indices(d)] = theta
+    idx = np.arange(d)
+    low[idx, idx] = np.exp(low[idx, idx])
+    return low
+
+
+def _cov_gradient(g_sigma, theta, spec: ModelSpec) -> np.ndarray:
+    """dL/dtheta from the G of dL = tr(G dSigma), through `_unpack_cov`."""
+    if spec.covariance == "scalar":
+        return np.array([2.0 * np.exp(2.0 * theta[0]) * np.trace(g_sigma)])
+    if spec.covariance == "diagonal":
+        return 2.0 * np.exp(2.0 * theta) * np.diag(g_sigma)
+    # Sigma = F F' gives tr(G dSigma) = tr(2 F' G dF) over the lower
+    # triangle of F, and dF_ii = F_ii dtheta on its log-parametrized diagonal
+    d = spec.re_dim
+    low = _cov_factor(theta, d)
+    grad = 2.0 * g_sigma @ low
+    idx = np.arange(d)
+    grad[idx, idx] *= low[idx, idx]
+    return grad[np.tril_indices(d)]
 
 
 def _pack(alpha_params, cov_params):
@@ -360,37 +424,50 @@ def _fd_step(x):
     return SE_REL_STEP * np.maximum(1.0, np.abs(x))
 
 
-def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) -> FitResult:
-    """Maximize the Laplace marginal likelihood over fixed effects and covariance."""
+def _make_objective(pseudo: PseudoData, spec: ModelSpec, J: int):
+    """The Laplace objective of a fit: packed x -> (-L, -dL/dx).
+
+    The closure starts each inner Newton from the modes of its previous
+    evaluation and keeps them in `objective.modes`; `objective.evaluations`
+    counts its calls. Make one per fit: the closure is not shared.
+    """
+    n_alpha = J if spec.item_design == "common" else J * spec.tree.N
+
+    def objective(x):
+        alpha = x[:n_alpha]
+        if spec.item_design == "per-node":
+            alpha = alpha.reshape(J, spec.tree.N)
+        theta = x[n_alpha:]
+        value, d_alpha, g_sigma, eta = laplace_marginal_loglik(
+            alpha, _unpack_cov(theta, spec), pseudo, trait_design=spec.trait_design,
+            eta0=objective.modes, gradient=True,
+        )
+        objective.modes = eta
+        objective.evaluations += 1
+        return -value, -_pack(d_alpha, _cov_gradient(g_sigma, theta, spec))
+
+    objective.modes = None
+    objective.evaluations = 0
+    return objective
+
+
+def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None, *,
+        warn: bool = True) -> FitResult:
+    """Maximize the Laplace marginal likelihood over fixed effects and covariance.
+
+    Separation and non-convergence notes always go to `FitResult.warnings`;
+    with `warn=True` they are also issued as `UserWarning`s.
+    """
     options = options or FitOptions()
     tree = spec.tree
-    report_valid = data.M <= tree.M
-    if not report_valid:
-        raise ValueError(f"data has {data.M} categories but tree supports {tree.M}")
     pseudo = PseudoData.from_ratings(data, tree)
-    warn = _separation_warnings(pseudo, tree)
+    notes = _separation_warnings(pseudo, tree)
     n_alpha = data.J if spec.item_design == "common" else data.J * tree.N
     n_cov = _n_cov_params(spec)
     x0 = options.start if options.start is not None else _start_values(pseudo, spec)
     x0 = np.asarray(x0, dtype=float)
     if x0.size != n_alpha + n_cov:
         raise ValueError(f"start vector must have {n_alpha + n_cov} entries")
-
-    cache = {"eta": None}
-
-    def objective(x):
-        alpha = _alpha_matrix(x[:n_alpha], spec, data.J)
-        if spec.item_design == "common":
-            alpha_arg = alpha[:, 0]
-        else:
-            alpha_arg = alpha
-        sigma = _unpack_cov(x[n_alpha:], spec)
-        grab = {}
-        val = laplace_marginal_loglik(
-            alpha_arg, sigma, pseudo, trait_design=spec.trait_design, _modes=grab
-        )
-        cache["eta"] = grab["eta"]
-        return -val
 
     bounds = [(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha
     d = spec.re_dim
@@ -400,48 +477,50 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
                 bounds.append((-8.0, 5.0) if i == j else (-20.0, 20.0))
     else:
         bounds += [(-8.0, 5.0)] * n_cov
+    objective = _make_objective(pseudo, spec, data.J)
     res = minimize(
         objective,
         x0,
+        jac=True,
         method="L-BFGS-B",
         bounds=bounds,
         options={"maxiter": options.max_iter, "ftol": 1e-14, "gtol": options.tol},
     )
     x = res.x
-    # projected gradient at the solution decides convergence
-    g = approx_fprime(x, objective, _fd_step(x) * 1e-2)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    # one evaluation at the solution gives the log-likelihood, the posterior
+    # modes and the projected gradient that decides convergence
+    nll, g = objective(x)
+    lo, hi = np.array(bounds).T
     g_proj = g.copy()
     g_proj[(x <= lo) & (g > 0)] = 0.0
     g_proj[(x >= hi) & (g < 0)] = 0.0
-    converged = bool(np.abs(g_proj).max() < options.tol) or bool(res.success)
+    pg_max = float(np.abs(g_proj).max())
+    converged = pg_max < options.tol or bool(res.success)
     if not converged:
-        warn = warn + [f"did not converge after {res.nit} iterations"]
+        notes = notes + [f"did not converge after {res.nit} iterations"]
 
-    loglik = -objective(x)  # also refreshes the cached posterior modes
-    alpha_hat = _alpha_matrix(x[:n_alpha], spec, data.J)
-    sigma_hat = _unpack_cov(x[n_alpha:], spec)
-    eta = cache["eta"]
-    if spec.trait_design == "common":
-        eta_full = np.repeat(eta, tree.N, axis=1)
-    else:
-        eta_full = eta
+    eta = objective.modes
     result = FitResult(
-        alpha_hat=alpha_hat,
-        sigma_hat=sigma_hat,
-        eta_hat=eta_full,
-        log_marginal_lik=loglik,
+        alpha_hat=_alpha_matrix(x[:n_alpha], spec, data.J),
+        sigma_hat=_unpack_cov(x[n_alpha:], spec),
+        eta_hat=np.repeat(eta, tree.N, axis=1) if spec.trait_design == "common" else eta,
+        log_marginal_lik=-nll,
         se_alpha=None,
         converged=converged,
         iterations=int(res.nit),
         model=spec,
         tree_digest=tree.digest(),
-        warnings=warn,
+        warnings=notes,
         x=x,
+        diagnostics={
+            "objective_evaluations": objective.evaluations,
+            "projected_gradient_max": pg_max,
+            "message": str(res.message),
+        },
     )
-    for w in warn:
-        _warnings.warn(w, stacklevel=2)
+    if warn:
+        for w in notes:
+            _warnings.warn(w, stacklevel=2)
     if options.compute_se and converged:
         result.se_alpha = standard_errors(result, data)
     return result
@@ -452,17 +531,12 @@ def posterior_modes(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     spec = fitres.model
     pseudo = PseudoData.from_ratings(data, spec.tree)
     sigma, sinv, logdet = _cov_inverse(fitres.sigma_hat)
-    d = sigma.shape[0]
     alpha = fitres.alpha_hat
-    alpha_rec = (
-        alpha[pseudo.item, 0]
-        if alpha.shape[1] == 1
-        else alpha[pseudo.item, pseudo.node]
+    alpha_rec, re_node = _record_layout(
+        alpha[:, 0] if alpha.shape[1] == 1 else alpha,
+        pseudo.item, pseudo.node, spec.trait_design,
     )
-    re_node = (
-        pseudo.node if spec.trait_design == "per-node" else np.zeros(len(pseudo), dtype=int)
-    )
-    eta, _, _ = _solve_modes(alpha_rec, pseudo, re_node, d, sinv, logdet)
+    eta, _, _ = _solve_modes(alpha_rec, pseudo, re_node, sigma.shape[0], sinv, logdet)
     if spec.trait_design == "common":
         return np.repeat(eta, spec.tree.N, axis=1)
     return eta
@@ -471,8 +545,9 @@ def posterior_modes(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
 def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     """Square roots of the inverse observed information, for the easiness part.
 
-    The information is the central finite-difference Hessian of the Laplace
-    objective at the optimum (relative step 1e-4).
+    The information is the Jacobian of the analytic gradient of the Laplace
+    objective at the optimum, by central differences (relative step
+    `SE_REL_STEP`, 2n evaluations for n parameters), symmetrized.
     """
     spec = fitres.model
     pseudo = PseudoData.from_ratings(data, spec.tree)
@@ -480,30 +555,23 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     x = fitres.x
     if x is None:
         raise ValueError("standard errors need the packed optimum of a fit")
+    objective = _make_objective(pseudo, spec, data.J)
+    modes = fitres.eta_hat[:, : spec.re_dim]
 
-    def nll(v):
-        alpha = _alpha_matrix(v[:n_alpha], spec, data.J)
-        alpha_arg = alpha[:, 0] if spec.item_design == "common" else alpha
-        sigma = _unpack_cov(v[n_alpha:], spec)
-        return -laplace_marginal_loglik(
-            alpha_arg, sigma, pseudo, trait_design=spec.trait_design
-        )
+    def grad(v):
+        # both sides of a difference start the inner Newton at the modes of
+        # the optimum, so their leftover mode residuals nearly cancel
+        objective.modes = modes
+        return objective(v)[1]
 
     n = x.size
     h = _fd_step(x)
     hess = np.empty((n, n))
-    f0 = nll(x)
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (nll(x + ei) - 2.0 * f0 + nll(x - ei)) / h[i] ** 2
-        for j in range(i):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            hij = (
-                nll(x + ei + ej) - nll(x + ei - ej) - nll(x - ei + ej) + nll(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = hij
+        step = np.zeros(n)
+        step[i] = h[i]
+        hess[:, i] = (grad(x + step) - grad(x - step)) / (2.0 * h[i])
+    hess = 0.5 * (hess + hess.T)
     try:
         cov = np.linalg.inv(hess)
         diag = np.diag(cov)[:n_alpha]

@@ -8,7 +8,6 @@ order or thread count.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -242,9 +241,7 @@ def _run_replication(I, J, pi, design: SimDesign, cell_index: int, b: int):
         y = perturb(y, FakingModel(pi, design.gamma, design.delta, design.direction), rng)
     spec = ModelSpec(tree, trait_design="common", item_design="common", covariance="scalar")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = fit(y, spec, FitOptions(compute_se=False))
+        res = fit(y, spec, FitOptions(compute_se=False), warn=False)
     except EstimationError:
         return None
     if not res.converged:

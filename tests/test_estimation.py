@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from fuzzyirtree.estimation import (
+    SE_REL_STEP,
     EstimationError,
     FitOptions,
     ModelSpec,
     PseudoData,
     RatingMatrix,
+    _make_objective,
+    _start_values,
+    _unpack_cov,
     expand_to_pseudo_data,
     fit,
     fit_from_json,
@@ -16,8 +20,18 @@ from fuzzyirtree.estimation import (
     joint_loglik,
     laplace_marginal_loglik,
     posterior_modes,
+    standard_errors,
 )
 from fuzzyirtree.tree import preset_tree
+
+DESIGNS = (
+    ("common", "common", "scalar"),
+    ("common", "per-node", "scalar"),
+    ("per-node", "common", "diagonal"),
+    ("per-node", "common", "unstructured"),
+    ("per-node", "per-node", "diagonal"),
+    ("per-node", "per-node", "unstructured"),
+)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -78,6 +92,47 @@ def agh_marginal_loglik(alpha_per_item, var, y, tree, n_nodes=61):
         logf = np.array([-neg_joint(e) for e in etas])
         total += logsumexp(logf + x_k**2 + np.log(w_k)) + np.log(scale)
     return total
+
+
+def neg_laplace_value(x, pseudo, spec, J):
+    """-L at a packed parameter vector, from the value-only kernel with the
+    inner Newton started at zero."""
+    n_alpha = J if spec.item_design == "common" else J * spec.tree.N
+    alpha = x[:n_alpha]
+    if spec.item_design == "per-node":
+        alpha = alpha.reshape(J, spec.tree.N)
+    return -laplace_marginal_loglik(
+        alpha, _unpack_cov(x[n_alpha:], spec), pseudo, trait_design=spec.trait_design
+    )
+
+
+def value_hessian_se(fitres, data):
+    """Easiness SEs from the O(n^2) central-difference Hessian of the Laplace
+    value itself (2n^2 + 1 evaluations), at the package's relative step."""
+    spec = fitres.model
+    pseudo = PseudoData.from_ratings(data, spec.tree)
+    x = fitres.x
+    n = x.size
+    h = SE_REL_STEP * np.maximum(1.0, np.abs(x))
+
+    def nll(v):
+        return neg_laplace_value(v, pseudo, spec, data.J)
+
+    hess = np.empty((n, n))
+    f0 = nll(x)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h[i]
+        hess[i, i] = (nll(x + ei) - 2.0 * f0 + nll(x - ei)) / h[i] ** 2
+        for j in range(i):
+            ej = np.zeros(n)
+            ej[j] = h[j]
+            hij = (
+                nll(x + ei + ej) - nll(x + ei - ej) - nll(x - ei + ej) + nll(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+            hess[i, j] = hess[j, i] = hij
+    n_alpha = fitres.alpha_hat.size
+    return np.sqrt(np.diag(np.linalg.inv(hess))[:n_alpha]).reshape(fitres.alpha_hat.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +305,48 @@ class TestLaplaceMarginal:
         assert two == pytest.approx(2 * one, rel=1e-9)
 
 
+class TestLaplaceGradient:
+    @pytest.mark.parametrize("preset", ["fig1-5cat", "fig2-6cat"])
+    @pytest.mark.parametrize("design", DESIGNS, ids="/".join)
+    def test_matches_central_differences(self, preset, design, rng):
+        tree = preset_tree(preset)
+        J = 5
+        data = RatingMatrix(rng.integers(1, tree.M + 1, size=(30, J)), tree.M)
+        pseudo = PseudoData.from_ratings(data, tree)
+        spec = ModelSpec(tree, *design)
+        x0 = _start_values(pseudo, spec)
+        x = x0 + rng.normal(scale=0.3, size=x0.size)
+        value, grad = _make_objective(pseudo, spec, J)(x)
+        assert value == pytest.approx(neg_laplace_value(x, pseudo, spec, J), rel=1e-12)
+        fd = np.empty(x.size)
+        for k in range(x.size):
+            step = np.zeros(x.size)
+            step[k] = 1e-5 * max(1.0, abs(x[k]))
+            fd[k] = (
+                neg_laplace_value(x + step, pseudo, spec, J)
+                - neg_laplace_value(x - step, pseudo, spec, J)
+            ) / (2.0 * step[k])
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_kernel_outputs(self, fig1, rng):
+        data = RatingMatrix(rng.integers(1, 6, size=(20, 3)), 5)
+        pseudo = PseudoData.from_ratings(data, fig1)
+        alpha = rng.normal(size=(3, 4))
+        a = rng.normal(scale=0.3, size=(4, 4))
+        sigma = np.eye(4) + a @ a.T
+        value, d_alpha, g_sigma, modes = laplace_marginal_loglik(
+            alpha, sigma, pseudo, trait_design="per-node", gradient=True
+        )
+        assert value == laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="per-node")
+        assert d_alpha.shape == alpha.shape
+        np.testing.assert_array_equal(g_sigma, g_sigma.T)
+        assert modes.shape == (20, 4)
+        # warm-starting the inner Newton at the modes gives the same value
+        again = laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="per-node",
+                                        eta0=modes)
+        assert again == pytest.approx(value, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -339,6 +436,31 @@ class TestFit:
             res = fit(RatingMatrix(y, 5), ModelSpec(fig1), FitOptions(compute_se=False))
         assert any("separation" in w for w in res.warnings)
 
+    def test_separation_notes_without_warning(self, fig1):
+        import warnings
+
+        y = np.full((12, 3), 3, dtype=int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(RatingMatrix(y, 5), ModelSpec(fig1), FitOptions(compute_se=False),
+                      warn=False)
+        assert any("separation" in w for w in res.warnings)
+
+    def test_diagnostics(self, fitted):
+        res, _, _, _ = fitted
+        diag = res.diagnostics
+        assert diag["objective_evaluations"] >= res.iterations + 1
+        assert 0.0 <= diag["projected_gradient_max"] < FitOptions().tol
+        assert isinstance(diag["message"], str) and diag["message"]
+
+    def test_diagnostics_not_in_artifact(self, fitted):
+        import dataclasses
+
+        res, _, _, _ = fitted
+        text = fit_to_json(res)
+        assert "diagnostics" not in json.loads(text)
+        assert fit_to_json(dataclasses.replace(res, diagnostics={})) == text
+
     def test_bad_start_length(self, fig1):
         data, _ = _simulate(10, 3, fig1)
         with pytest.raises(ValueError, match="start vector"):
@@ -388,6 +510,20 @@ class TestPosteriorModes:
 
 
 class TestStandardErrors:
+    def test_matches_value_hessian_common(self, fitted):
+        res, data, _, _ = fitted
+        np.testing.assert_allclose(res.se_alpha, value_hessian_se(res, data), rtol=1e-4)
+
+    def test_matches_value_hessian_per_node(self, fig1):
+        data, _ = _simulate(60, 4, fig1, seed=3)
+        spec = ModelSpec(fig1, trait_design="per-node", item_design="common",
+                         covariance="diagonal")
+        res = fit(data, spec, FitOptions(compute_se=False))
+        assert res.converged
+        np.testing.assert_allclose(
+            standard_errors(res, data), value_hessian_se(res, data), rtol=1e-4
+        )
+
     def test_doubling_sample_shrinks_se(self, fig1):
         data, _ = _simulate(60, 4, fig1, seed=31)
         spec = ModelSpec(fig1)

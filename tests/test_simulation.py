@@ -1,3 +1,4 @@
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -235,6 +236,11 @@ class TestRunCellAndStudy:
             "I,J,pi,pa_c,pa_c_sd,pa_spread,pa_spread_sd,"
             "pa_omega,pa_omega_sd,k,k_sd,n_completed,n_failed\n"
         )
+
+    def test_threaded_study_leaves_warning_filters_alone(self, tiny_design):
+        before = list(warnings.filters)
+        run_study(tiny_design, threads=2)
+        assert warnings.filters == before
 
     def test_faking_raises_fuzziness(self, tiny_design):
         res = run_study(tiny_design)
