@@ -6,13 +6,10 @@ from .estimation import (
     FitOptions,
     FitResult,
     ModelSpec,
-    PseudoObservation,
     RatingMatrix,
-    expand_to_pseudo_data,
     fit,
     fit_from_json,
     fit_to_json,
-    joint_loglik,
     laplace_marginal_loglik,
     posterior_modes,
     standard_errors,
@@ -43,10 +40,7 @@ from .simulation import (
     run_study,
 )
 from .tree import (
-    ItemEasiness,
-    PersonTraits,
     ResponseTree,
-    branch_probability,
     category_probabilities,
     parse_tree_spec,
     preset_tree,

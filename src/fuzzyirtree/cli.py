@@ -24,14 +24,11 @@ from .estimation import (
     fit_from_json,
     fit_to_json,
 )
+from .simulation import _g6
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
-
-
-def _g6(x) -> str:
-    return f"{x:.6g}"
 
 
 def _load_tree(args) -> tree.ResponseTree:
@@ -69,7 +66,9 @@ def _read_ratings(path: str, M: int) -> RatingMatrix:
                 raise ValueError(
                     f"{path}: non-numeric value {text!r} at row {rix}, column {cix}"
                 ) from None
-            if v != int(v) or not 1 <= int(v) <= M:
+            # the range test comes first: it also rejects nan and +-inf,
+            # which int() cannot convert
+            if not (1 <= v <= M and v == int(v)):
                 raise ValueError(
                     f"{path}: rating must be an integer in 1..{M} "
                     f"(row {rix}, column {cix}, got {text})"
@@ -199,8 +198,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not args.l <= args.c <= args.r:
-        raise ValueError("need l <= c <= r")
     f = fuzzy.Tfn4(c=args.c, l=args.l, r=args.r, omega=args.omega)
     if args.grid:
         grid = np.linspace(1.0, float(args.m), args.points)

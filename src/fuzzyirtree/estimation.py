@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import warnings as _warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -94,13 +93,6 @@ class ModelSpec:
         return 1 if self.trait_design == "common" else self.tree.N
 
 
-class PseudoObservation(NamedTuple):
-    rater: int
-    item: int
-    node: int
-    z: int
-
-
 @dataclass(frozen=True)
 class PseudoData:
     """Array-of-columns form of the expanded Bernoulli pseudo-observations."""
@@ -136,33 +128,14 @@ class PseudoData:
         return self.rater.size
 
 
-def expand_to_pseudo_data(data: RatingMatrix, tree: ResponseTree):
-    """One PseudoObservation per (rater, item, on-path node)."""
-    pd = PseudoData.from_ratings(data, tree)
-    return [
-        PseudoObservation(int(i), int(j), int(n), int(z))
-        for i, j, n, z in zip(pd.rater, pd.item, pd.node, pd.z)
-    ]
-
-
 def _cov_inverse(sigma):
+    """Inverse and log-determinant of a positive definite covariance."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as e:
         raise ValueError("covariance must be positive definite") from e
-    inv = np.linalg.inv(sigma)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return sigma, inv, logdet
-
-
-def _records_arrays(records):
-    if isinstance(records, PseudoData):
-        return records.item, records.node, records.z
-    item = np.array([r.item for r in records], dtype=int)
-    node = np.array([r.node for r in records], dtype=int)
-    z = np.array([r.z for r in records], dtype=float)
-    return item, node, z
+    return np.linalg.inv(sigma), 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _record_layout(alpha, item, node, trait_design):
@@ -176,42 +149,24 @@ def _record_layout(alpha, item, node, trait_design):
     return alpha_rec, re_node
 
 
-def joint_loglik(alpha, sigma, eta_i, records, trait_design="common"):
-    """Joint log-likelihood of one rater: Bernoulli terms plus Gaussian prior.
-
-    Returns (value, gradient, Hessian), the latter two with respect to the
-    rater's random effect. Both are analytic; the Hessian is negative
-    definite everywhere.
-    """
-    eta = np.atleast_1d(np.asarray(eta_i, dtype=float))
-    d = eta.size
-    sigma, sinv, logdet = _cov_inverse(sigma)
-    if sigma.shape != (d, d):
-        raise ValueError(f"covariance must be {d}x{d}")
-    item, node, z = _records_arrays(records)
-    alpha_rec, re_node = _record_layout(alpha, item, node, trait_design)
-    lp = eta[re_node] + alpha_rec if len(z) else np.zeros(0)
-    p = expit(lp)
-    value = float(np.sum(z * lp - np.logaddexp(0.0, lp)))
-    value += -0.5 * d * LOG_2PI - 0.5 * logdet - 0.5 * float(eta @ sinv @ eta)
-    grad = np.bincount(re_node, weights=z - p, minlength=d) - sinv @ eta
-    w = np.bincount(re_node, weights=p * (1.0 - p), minlength=d)
-    hess = -np.diag(w) - sinv
-    return value, grad, hess
-
-
-def _solve_modes(alpha_rec, pseudo, re_node, d, sinv, logdet_sigma, eta0=None):
+def _solve_modes(alpha, sigma, pseudo: PseudoData, trait_design, eta0=None):
     """Vectorized per-rater Newton maximization of the joint log-likelihood.
 
-    Returns (eta (I,d), neg_hess (I,d,d), per-rater joint values). Raises
-    EstimationError if any rater fails to converge.
+    Returns (sinv, alpha_rec, re_node, eta (I,d), neg_hess (I,d,d), per-rater
+    joint values): the covariance inverse and record layout the modes were
+    solved on, then the solution. Raises EstimationError if any rater fails
+    to converge.
     """
+    sinv, logdet_sigma = _cov_inverse(sigma)
+    alpha_rec, re_node = _record_layout(alpha, pseudo.item, pseudo.node, trait_design)
+    d = sinv.shape[0]
     n_raters = pseudo.I
     z, rater = pseudo.z, pseudo.rater
     flat = rater * d + re_node
     size = n_raters * d
     eta = np.zeros((n_raters, d)) if eta0 is None else eta0.copy()
     prior_const = -0.5 * d * LOG_2PI - 0.5 * logdet_sigma
+    idx = np.arange(d)
 
     def per_rater_value(e):
         lp = e[rater, re_node] + alpha_rec
@@ -220,19 +175,18 @@ def _solve_modes(alpha_rec, pseudo, re_node, d, sinv, logdet_sigma, eta0=None):
         return ll - 0.5 * quad + prior_const
 
     f_cur = per_rater_value(eta)
-    neg_hess = None
-    for _ in range(INNER_MAX_ITER):
-        lp = eta[rater, re_node] + alpha_rec
-        p = expit(lp)
+    for it in range(INNER_MAX_ITER + 1):
+        p = expit(eta[rater, re_node] + alpha_rec)
         grad = np.bincount(flat, weights=z - p, minlength=size).reshape(n_raters, d)
         grad -= eta @ sinv
         gmax = np.abs(grad).max(axis=1)
         w = np.bincount(flat, weights=p * (1.0 - p), minlength=size).reshape(n_raters, d)
         neg_hess = np.broadcast_to(sinv, (n_raters, d, d)).copy()
-        idx = np.arange(d)
         neg_hess[:, idx, idx] += w
         if gmax.max() < INNER_TOL:
-            return eta, neg_hess, f_cur
+            return sinv, alpha_rec, re_node, eta, neg_hess, f_cur
+        if it == INNER_MAX_ITER:
+            break
         step = np.linalg.solve(neg_hess, grad[..., None])[..., 0]
         scale = np.ones(n_raters)
         for _ in range(50):
@@ -244,15 +198,16 @@ def _solve_modes(alpha_rec, pseudo, re_node, d, sinv, logdet_sigma, eta0=None):
             scale[worse] *= 0.5
         eta = eta + scale[:, None] * step
         f_cur = per_rater_value(eta)
-    lp = eta[rater, re_node] + alpha_rec
-    p = expit(lp)
-    grad = np.bincount(flat, weights=z - p, minlength=size).reshape(n_raters, d)
-    grad -= eta @ sinv
-    bad = int(np.abs(grad).max(axis=1).argmax())
+    bad = int(gmax.argmax())
     raise EstimationError(
         f"inner Newton failed to converge for rater {bad} "
-        f"(gradient norm {np.abs(grad[bad]).max():.3g})"
+        f"(gradient norm {gmax[bad]:.3g})"
     )
+
+
+def _expand_modes(eta, spec: ModelSpec) -> np.ndarray:
+    """I x d modes as the I x N eta of a fit (a common trait on every node)."""
+    return np.repeat(eta, spec.tree.N, axis=1) if spec.trait_design == "common" else eta
 
 
 def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
@@ -269,11 +224,11 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
     """
     if not isinstance(pseudo, PseudoData):
         raise TypeError("pseudo must be a PseudoData (see PseudoData.from_ratings)")
-    sigma, sinv, logdet = _cov_inverse(sigma)
-    d = sigma.shape[0]
     alpha = np.asarray(alpha, dtype=float)
-    alpha_rec, re_node = _record_layout(alpha, pseudo.item, pseudo.node, trait_design)
-    eta, neg_hess, values = _solve_modes(alpha_rec, pseudo, re_node, d, sinv, logdet, eta0)
+    sinv, alpha_rec, re_node, eta, neg_hess, values = _solve_modes(
+        alpha, sigma, pseudo, trait_design, eta0
+    )
+    d = sinv.shape[0]
     if d == 1:
         logdet_h = np.log(neg_hess[:, 0, 0])
     else:
@@ -499,11 +454,10 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None, 
     if not converged:
         notes = notes + [f"did not converge after {res.nit} iterations"]
 
-    eta = objective.modes
     result = FitResult(
         alpha_hat=_alpha_matrix(x[:n_alpha], spec, data.J),
         sigma_hat=_unpack_cov(x[n_alpha:], spec),
-        eta_hat=np.repeat(eta, tree.N, axis=1) if spec.trait_design == "common" else eta,
+        eta_hat=_expand_modes(objective.modes, spec),
         log_marginal_lik=-nll,
         se_alpha=None,
         converged=converged,
@@ -530,16 +484,10 @@ def posterior_modes(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     """Per-rater joint-likelihood maximizers at the fitted parameters, I x N."""
     spec = fitres.model
     pseudo = PseudoData.from_ratings(data, spec.tree)
-    sigma, sinv, logdet = _cov_inverse(fitres.sigma_hat)
     alpha = fitres.alpha_hat
-    alpha_rec, re_node = _record_layout(
-        alpha[:, 0] if alpha.shape[1] == 1 else alpha,
-        pseudo.item, pseudo.node, spec.trait_design,
-    )
-    eta, _, _ = _solve_modes(alpha_rec, pseudo, re_node, sigma.shape[0], sinv, logdet)
-    if spec.trait_design == "common":
-        return np.repeat(eta, spec.tree.N, axis=1)
-    return eta
+    eta = _solve_modes(alpha[:, 0] if alpha.shape[1] == 1 else alpha, fitres.sigma_hat,
+                       pseudo, spec.trait_design)[3]
+    return _expand_modes(eta, spec)
 
 
 def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:

@@ -4,6 +4,14 @@ The pipeline per rater-item cell: take the model-implied distribution over
 the M categories, compute its mean and variance, map the pair through the
 Williams moment link (on the unit interval) to get the support endpoints,
 and set the intensification parameter to the sum of squared probabilities.
+
+Each computation has one kernel, vectorized over cells:
+`_moments` and `_link` (joined by `convert_table`), `_membership_rows`, and
+the Kaufmann reduction `kaufmann_index` (along the last axis, with
+`kaufmann_support_table` scoring each number on its own support).
+`multiverse_moments`, `williams_link`, `convert`, `membership`,
+`kaufmann_of` and `kaufmann_support` are one-cell wrappers over them;
+`convert_all` applies `convert_table` to a fitted model.
 """
 from __future__ import annotations
 
@@ -70,36 +78,65 @@ class Tfn4:
         return self.r - self.l
 
 
-def membership(f: Tfn4, y):
-    """Membership degree of y (scalar or array) in the fuzzy number f.
+def _membership_rows(grid, c, l, r, w):
+    """Membership at `grid` of the Tfn4s (c, l, r, w); all five broadcast.
 
-    The left branch owns (l, c], the right branch (c, r); endpoints and the
-    outside evaluate to 0, the mode to 1. A degenerate number is the crisp
-    indicator of its mode.
+    The left branch owns (l, c], the right branch (c, r); each is evaluated
+    only where it applies. Endpoints and the outside evaluate to 0, the mode
+    to 1 when l < c, and a degenerate number is the crisp indicator of its
+    mode.
     """
-    yy = np.asarray(y, dtype=float)
-    out = np.zeros(yy.shape)
-    if f.degenerate:
-        out = np.where(yy == f.c, 1.0, 0.0)
-        return float(out) if np.isscalar(y) or yy.ndim == 0 else out
+    grid, c, l, r, w = np.broadcast_arrays(grid, c, l, r, w)
+    out = np.zeros(grid.shape)
     with np.errstate(over="ignore", divide="ignore"):
-        left = (yy > f.l) & (yy <= f.c)
-        if left.any():
-            ratio = (f.c - yy[left]) / (yy[left] - f.l)
-            out[left] = 1.0 / (1.0 + ratio**f.omega)
-        right = (yy > f.c) & (yy < f.r)
-        if right.any():
-            ratio = (f.r - yy[right]) / (yy[right] - f.c)
-            out[right] = 1.0 / (1.0 + ratio ** (-f.omega))
-    return float(out) if np.isscalar(y) or yy.ndim == 0 else out
+        left = (grid > l) & (grid <= c)
+        y = grid[left]
+        out[left] = 1.0 / (1.0 + ((c[left] - y) / (y - l[left])) ** w[left])
+        right = (grid > c) & (grid < r)
+        y = grid[right]
+        out[right] = 1.0 / (1.0 + ((r[right] - y) / (y - c[right])) ** -w[right])
+    out[(l == c) & (c == r) & (grid == c)] = 1.0
+    return out
+
+
+def membership(f: Tfn4, y):
+    """Membership degree of y (scalar or array) in the fuzzy number f."""
+    y = np.asarray(y, dtype=float)
+    out = _membership_rows(y, f.c, f.l, f.r, f.omega)
+    return float(out) if y.ndim == 0 else out
+
+
+def _moments(p):
+    """Mean and variance of distributions over 1..M along the last axis."""
+    y = np.arange(1, p.shape[-1] + 1, dtype=float)
+    c = p @ y
+    return c, np.maximum(p @ y**2 - c**2, 0.0)
+
+
+def _link(cn, sn):
+    """Williams link of (mean, variance) pairs on [0, 1]: (l, r, clamped).
+
+    Negative radicands and out-of-order endpoints are clamped and flagged;
+    a near-zero variance collapses to the crisp singleton at the mean.
+    """
+    deg = sn < DEGENERATE_VARIANCE
+    safe = np.where(deg, 1.0, sn)
+    mu = (1.0 + cn / safe) / (2.0 + 1.0 / safe)
+    rad = 3.5 * sn - 3.0 * (cn - mu) ** 2
+    h1 = np.sqrt(np.maximum(rad, 0.0))
+    h2 = 0.5 * (h1 + 3.0 * cn - 3.0 * mu)
+    ln = cn - h2
+    rn = ln + h1
+    clamped = ((rad < 0.0) | (ln < 0.0) | (ln > cn) | (rn < cn) | (rn > 1.0)) & ~deg
+    ln = np.where(deg, cn, np.clip(ln, 0.0, cn))
+    rn = np.where(deg, cn, np.clip(rn, cn, 1.0))
+    return ln, rn, clamped
 
 
 def multiverse_moments(d: MultiverseDistribution):
     """Mean and variance of the category distribution on the 1..M scale."""
-    y = np.arange(1, d.M + 1, dtype=float)
-    c = float(d.probs @ y)
-    s = float(d.probs @ (y - c) ** 2)
-    return c, max(s, 0.0)
+    c, s = _moments(d.probs)
+    return float(c), float(s)
 
 
 class LinkResult(NamedTuple):
@@ -109,29 +146,11 @@ class LinkResult(NamedTuple):
 
 
 def williams_link(c_norm: float, s_norm: float) -> LinkResult:
-    """Map a (mean, variance) pair on [0, 1] to triangular endpoints.
-
-    Negative radicands and out-of-order endpoints are clamped and flagged;
-    a near-zero variance collapses to the crisp singleton.
-    """
+    """Map one (mean, variance) pair on [0, 1] to triangular endpoints."""
     if not 0.0 <= c_norm <= 1.0:
         raise ValueError("c_norm must lie in [0, 1]")
-    if s_norm < DEGENERATE_VARIANCE:
-        return LinkResult(c_norm, c_norm, False)
-    mu = (1.0 + c_norm / s_norm) / (2.0 + 1.0 / s_norm)
-    rad = 3.5 * s_norm - 3.0 * (c_norm - mu) ** 2
-    clamped = False
-    if rad < 0.0:
-        rad, clamped = 0.0, True
-    h1 = np.sqrt(rad)
-    h2 = 0.5 * (h1 + 3.0 * c_norm - 3.0 * mu)
-    l = c_norm - h2
-    r = c_norm - h2 + h1
-    if not 0.0 <= l <= c_norm:
-        l, clamped = min(max(l, 0.0), c_norm), True
-    if not c_norm <= r <= 1.0:
-        r, clamped = min(max(r, c_norm), 1.0), True
-    return LinkResult(float(l), float(r), clamped)
+    l, r, clamped = _link(np.float64(c_norm), np.float64(s_norm))
+    return LinkResult(float(l), float(r), bool(clamped))
 
 
 def intensification(d: MultiverseDistribution) -> float:
@@ -143,45 +162,29 @@ def convert(d: MultiverseDistribution, M: int) -> Tfn4:
     """Full conversion of one category distribution into a Tfn4."""
     if M != d.M:
         raise ValueError(f"distribution has {d.M} categories, expected {M}")
-    c, s = multiverse_moments(d)
-    scale = M - 1.0
-    link = williams_link((c - 1.0) / scale, s / scale**2)
-    l = 1.0 + scale * link.l
-    r = 1.0 + scale * link.r
-    return Tfn4(c=c, l=min(l, c), r=max(r, c), omega=intensification(d), clamped=link.clamped)
+    c, l, r, omega, clamped = convert_table(d.probs[None, :])
+    return Tfn4(c=float(c[0]), l=float(l[0]), r=float(r[0]), omega=float(omega[0]),
+                clamped=bool(clamped[0]))
 
 
 def convert_table(probs: np.ndarray):
-    """Vectorized convert over a (K, M) matrix of distributions.
+    """Convert each row of a (K, M) matrix of distributions into a Tfn4.
 
-    Returns arrays (c, l, r, omega, clamped), each of length K.
+    Returns arrays (c, l, r, omega, clamped), each of length K, with
+    l <= c <= r exactly in every row.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2:
         raise ValueError("probs must be a (K, M) matrix")
-    m_count = p.shape[1]
-    y = np.arange(1, m_count + 1, dtype=float)
-    c = p @ y
-    s = np.maximum(p @ y**2 - c**2, 0.0)
-    scale = m_count - 1.0
-    cn = (c - 1.0) / scale
-    sn = s / scale**2
-    deg = sn < DEGENERATE_VARIANCE
-    safe = np.where(deg, 1.0, sn)
-    mu = (1.0 + cn / safe) / (2.0 + 1.0 / safe)
-    rad = 3.5 * sn - 3.0 * (cn - mu) ** 2
-    clamped = (rad < 0.0) & ~deg
-    h1 = np.sqrt(np.maximum(rad, 0.0))
-    h2 = 0.5 * (h1 + 3.0 * cn - 3.0 * mu)
-    ln = cn - h2
-    rn = ln + h1
-    clamped |= ((ln < 0.0) | (ln > cn) | (rn < cn) | (rn > 1.0)) & ~deg
-    ln = np.clip(ln, 0.0, cn)
-    rn = np.clip(rn, cn, 1.0)
-    ln = np.where(deg, cn, ln)
-    rn = np.where(deg, cn, rn)
-    omega = np.sum(p**2, axis=1)
-    return c, 1.0 + scale * ln, 1.0 + scale * rn, omega, clamped
+    c, s = _moments(p)
+    scale = p.shape[1] - 1.0
+    ln, rn, clamped = _link((c - 1.0) / scale, s / scale**2)
+    # mapping back to 1..M can move an endpoint past c by an ulp when M - 1
+    # is not a power of two; a zero-width support is the crisp mode itself
+    crisp = ln == rn
+    l = np.where(crisp, c, np.minimum(1.0 + scale * ln, c))
+    r = np.where(crisp, c, np.maximum(1.0 + scale * rn, c))
+    return c, l, r, np.sum(p**2, axis=1), clamped
 
 
 @dataclass(frozen=True)
@@ -252,70 +255,37 @@ def convert_all(fit, tree, ratings=None) -> FuzzyRatingMatrix:
     )
 
 
-def kaufmann_index(memberships) -> float:
-    """Normalized distance to the nearest crisp set over the sampled points."""
-    a = np.asarray(memberships, dtype=float)
-    if a.size == 0:
+def kaufmann_index(memberships):
+    """Normalized distance to the nearest crisp set over the sampled points.
+
+    Reduces along the last axis: a float for a vector, an array otherwise.
+    """
+    a = np.atleast_1d(np.asarray(memberships, dtype=float))
+    if a.shape[-1] == 0:
         raise ValueError("kaufmann_index needs a non-empty vector")
-    delta = (a >= 0.5).astype(float)
-    return float(2.0 * np.mean(np.abs(a - delta)))
+    k = 2.0 * np.mean(np.abs(a - (a >= 0.5)), axis=-1)
+    return float(k) if k.ndim == 0 else k
 
 
 def kaufmann_of(f: Tfn4, M: int, points: int = DEFAULT_GRID_POINTS) -> float:
     """Kaufmann index of a Tfn4 sampled on an even grid over [1, M]."""
-    grid = np.linspace(1.0, float(M), points)
-    return kaufmann_index(membership(f, grid))
-
-
-def _membership_rows(grid, c, l, r, w):
-    """Membership of each row's Tfn4 at each column of `grid` (both 2-D)."""
-    a = np.zeros_like(grid)
-    deg = (l == c) & (c == r)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        left = (grid > l) & (grid <= c) & ~deg
-        ratio = np.where(left, (c - grid) / np.where(left, grid - l, 1.0), 0.0)
-        a = np.where(left, 1.0 / (1.0 + ratio**w), a)
-        right = (grid > c) & (grid < r) & ~deg
-        ratio = np.where(right, (r - grid) / np.where(right, grid - c, 1.0), 1.0)
-        a = np.where(right, 1.0 / (1.0 + ratio ** (-w)), a)
-    return np.where(deg & (grid == c), 1.0, a)
-
-
-def kaufmann_table(c, l, r, omega, M: int, points: int = DEFAULT_GRID_POINTS):
-    """Vectorized kaufmann_of over arrays of Tfn4 parameters."""
-    c = np.asarray(c, float).ravel()
-    l = np.asarray(l, float).ravel()
-    r = np.asarray(r, float).ravel()
-    w = np.asarray(omega, float).ravel()
-    grid = np.broadcast_to(np.linspace(1.0, float(M), points), (c.size, points))
-    a = _membership_rows(grid, c[:, None], l[:, None], r[:, None], w[:, None])
-    delta = (a >= 0.5).astype(float)
-    return 2.0 * np.mean(np.abs(a - delta), axis=1)
-
-
-def kaufmann_support(f: Tfn4, points: int = DEFAULT_GRID_POINTS) -> float:
-    """Kaufmann index sampled on an even grid over the support [l, r].
-
-    Unlike kaufmann_of, the evaluation universe is the fuzzy number's own
-    support, so the index does not get diluted by the zero memberships
-    outside it; a degenerate number scores 0.
-    """
-    if f.degenerate:
-        return 0.0
-    grid = np.linspace(f.l, f.r, points)
-    return kaufmann_index(membership(f, grid))
+    return kaufmann_index(membership(f, np.linspace(1.0, float(M), points)))
 
 
 def kaufmann_support_table(c, l, r, omega, points: int = DEFAULT_GRID_POINTS):
-    """Vectorized kaufmann_support over arrays of Tfn4 parameters."""
-    c = np.asarray(c, float).ravel()
-    l = np.asarray(l, float).ravel()
-    r = np.asarray(r, float).ravel()
-    w = np.asarray(omega, float).ravel()
-    t = np.linspace(0.0, 1.0, points)
-    grid = l[:, None] + (r - l)[:, None] * t
-    a = _membership_rows(grid, c[:, None], l[:, None], r[:, None], w[:, None])
-    delta = (a >= 0.5).astype(float)
-    out = 2.0 * np.mean(np.abs(a - delta), axis=1)
-    out[l == r] = 0.0
-    return out
+    """Kaufmann index of each Tfn4 sampled on an even grid over its support.
+
+    Unlike kaufmann_of, the evaluation universe is the fuzzy number's own
+    support [l, r], so the index does not get diluted by the zero
+    memberships outside it; a degenerate number scores 0.
+    """
+    c, l, r, w = (np.asarray(v, float).reshape(-1, 1) for v in (c, l, r, omega))
+    grid = l + (r - l) * np.linspace(0.0, 1.0, points)
+    k = kaufmann_index(_membership_rows(grid, c, l, r, w))
+    k[l[:, 0] == r[:, 0]] = 0.0
+    return k
+
+
+def kaufmann_support(f: Tfn4, points: int = DEFAULT_GRID_POINTS) -> float:
+    """kaufmann_support_table of one Tfn4."""
+    return float(kaufmann_support_table(f.c, f.l, f.r, f.omega, points)[0])

@@ -16,41 +16,6 @@ from scipy.special import expit
 
 
 @dataclass(frozen=True)
-class PersonTraits:
-    """Node-wise latent trait vector of one rater."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("trait values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def common(cls, value, n):
-        """A single trait repeated across all n nodes."""
-        return cls(np.full(n, float(value)))
-
-
-@dataclass(frozen=True)
-class ItemEasiness:
-    """Node-wise easiness vector of one item."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("easiness values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def common(cls, value, n):
-        return cls(np.full(n, float(value)))
-
-
-@dataclass(frozen=True)
 class ResponseTree:
     """Mapping-matrix representation of a binary decision tree.
 
@@ -93,34 +58,20 @@ class ResponseTree:
         return hashlib.sha256(self.spec_text().encode("utf-8")).hexdigest()
 
 
-def branch_probability(eta, alpha):
-    """Probability of taking the yes-branch at a node, logistic in eta+alpha."""
-    if not (np.isfinite(eta) and np.isfinite(alpha)):
-        raise ValueError("branch_probability requires finite inputs")
-    return float(expit(eta + alpha))
-
-
-def _as_vector(x, n, what):
-    if isinstance(x, (PersonTraits, ItemEasiness)):
-        x = x.values
-    v = np.asarray(x, dtype=float)
-    if v.ndim == 0:
-        v = np.full(n, float(v))
-    if v.shape != (n,):
-        raise ValueError(f"{what} must have length {n}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} must be finite")
-    return v
-
-
 def category_probabilities(tree: ResponseTree, traits, easiness) -> np.ndarray:
     """Model-implied probability of each response category.
 
     Each category's probability is the product of its branch probabilities:
     p at nodes taken with 1, (1-p) at nodes taken with 0, skipping NA nodes.
+    `traits` and `easiness` are finite length-N vectors.
     """
-    eta = _as_vector(traits, tree.N, "traits")
-    alpha = _as_vector(easiness, tree.N, "easiness")
+    eta = np.asarray(traits, dtype=float)
+    alpha = np.asarray(easiness, dtype=float)
+    for what, v in (("traits", eta), ("easiness", alpha)):
+        if v.shape != (tree.N,):
+            raise ValueError(f"{what} must have length {tree.N}, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{what} must be finite")
     return category_probability_table(tree, eta, alpha)
 
 

@@ -100,6 +100,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert "row 2" in err and "column 2" in err
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_rating(self, cell, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2\n3,{cell}\n")
+        code = run_cli("fit", "--preset", "fig1-5cat", "--data", str(path),
+                       "--out", str(tmp_path / "x.json"))
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "rating must be an integer in 1..5 (row 2, column 2" in err
+
     def test_header_autodetect(self, tmp_path):
         path = tmp_path / "headed.csv"
         path.write_text("item1,item2\n1,2\n3,4\n5,1\n2,3\n4,5\n3,3\n2,2\n")

@@ -13,11 +13,9 @@ from fuzzyirtree.estimation import (
     _make_objective,
     _start_values,
     _unpack_cov,
-    expand_to_pseudo_data,
     fit,
     fit_from_json,
     fit_to_json,
-    joint_loglik,
     laplace_marginal_loglik,
     posterior_modes,
     standard_errors,
@@ -48,6 +46,33 @@ def _pseudo_records(y, tree):
                 if not np.isnan(t):
                     out.append((i, j, n, int(t)))
     return out
+
+
+def joint_loglik(alpha, sigma, eta_i, records, trait_design="common"):
+    """Joint log-likelihood of one rater: Bernoulli terms plus Gaussian prior.
+
+    `records` are the rater's (rater, item, node, z) tuples; `alpha` is (J,)
+    for common items or (J, N) for per-node items. Returns (value, gradient,
+    Hessian), the latter two with respect to the rater's random effect.
+    """
+    eta = np.atleast_1d(np.asarray(eta_i, dtype=float))
+    d = eta.size
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    assert sigma.shape == (d, d)
+    alpha = np.asarray(alpha, dtype=float)
+    value = -0.5 * d * np.log(2 * np.pi) - 0.5 * np.linalg.slogdet(sigma)[1]
+    sinv = np.linalg.inv(sigma)
+    value -= 0.5 * eta @ sinv @ eta
+    grad = -sinv @ eta
+    hess = -sinv.copy()
+    for _, j, n, z in records:
+        k = n if trait_design == "per-node" else 0
+        lp = eta[k] + (alpha[j] if alpha.ndim == 1 else alpha[j, n])
+        p = 1.0 / (1.0 + np.exp(-lp))
+        value += z * lp - np.log1p(np.exp(lp))
+        grad[k] += z - p
+        hess[k, k] -= p * (1.0 - p)
+    return float(value), grad, hess
 
 
 def _bernoulli_loglik(eta, alpha_per_item, records_i):
@@ -140,25 +165,32 @@ def value_hessian_se(fitres, data):
 # ---------------------------------------------------------------------------
 
 
+def _records(pseudo):
+    return [
+        (int(i), int(j), int(n), int(z))
+        for i, j, n, z in zip(pseudo.rater, pseudo.item, pseudo.node, pseudo.z)
+    ]
+
+
 class TestExpand:
     def test_middle_category_visits_only_root(self, fig1):
-        recs = expand_to_pseudo_data(RatingMatrix(np.array([[3]]), 5), fig1)
-        assert len(recs) == 1
-        assert (recs[0].node, recs[0].z) == (0, 0)
+        recs = _records(PseudoData.from_ratings(RatingMatrix(np.array([[3]]), 5), fig1))
+        assert recs == [(0, 0, 0, 0)]
 
     def test_top_category_path(self, fig1):
-        recs = expand_to_pseudo_data(RatingMatrix(np.array([[5]]), 5), fig1)
-        assert [(r.node, r.z) for r in recs] == [(0, 1), (1, 1), (3, 1)]
+        recs = _records(PseudoData.from_ratings(RatingMatrix(np.array([[5]]), 5), fig1))
+        assert [(n, z) for _, _, n, z in recs] == [(0, 1), (1, 1), (3, 1)]
 
     def test_record_count(self, fig1):
         data = RatingMatrix(np.ones((2, 2), dtype=int), 5)
-        assert len(expand_to_pseudo_data(data, fig1)) == 12
+        assert len(PseudoData.from_ratings(data, fig1)) == 12
 
-    def test_matches_direct_expansion(self, fig1, rng):
-        y = rng.integers(1, 6, size=(7, 3))
-        recs = expand_to_pseudo_data(RatingMatrix(y, 5), fig1)
-        want = _pseudo_records(y, fig1)
-        assert [(r.rater, r.item, r.node, r.z) for r in recs] == want
+    def test_matches_direct_expansion(self, fig1, fig2, rng):
+        for tree in (fig1, fig2):
+            y = rng.integers(1, tree.M + 1, size=(7, 3))
+            pseudo = PseudoData.from_ratings(RatingMatrix(y, tree.M), tree)
+            assert _records(pseudo) == _pseudo_records(y, tree)
+            assert (pseudo.I, pseudo.J, pseudo.N) == (7, 3, tree.N)
 
     def test_too_many_categories(self, fig1):
         with pytest.raises(ValueError, match="categories"):
@@ -191,13 +223,13 @@ class TestJointLoglik:
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_single_record(self, fig1):
-        recs = expand_to_pseudo_data(RatingMatrix(np.array([[5]]), 5), fig1)[:1]
+        recs = _pseudo_records(np.array([[5]]), fig1)[:1]
         v, _, _ = joint_loglik(np.zeros(1), np.eye(1), [0.0], recs)
         assert v == pytest.approx(np.log(0.5) - 0.918939, abs=1e-6)
 
     def test_gradient_hessian_vs_finite_differences(self, fig1, rng):
         y = rng.integers(1, 6, size=(1, 3))
-        recs = expand_to_pseudo_data(RatingMatrix(y, 5), fig1)
+        recs = _pseudo_records(y, fig1)
         alpha = rng.normal(size=3)
         sigma = np.array([[1.3]])
         for _ in range(50):
@@ -217,7 +249,7 @@ class TestJointLoglik:
 
     def test_per_node_gradient_vs_finite_differences(self, fig1, rng):
         y = rng.integers(1, 6, size=(1, 4))
-        recs = expand_to_pseudo_data(RatingMatrix(y, 5), fig1)
+        recs = _pseudo_records(y, fig1)
         alpha = rng.normal(size=(4, 4))
         a = rng.normal(scale=0.3, size=(4, 4))
         sigma = np.eye(4) + a @ a.T
@@ -231,9 +263,33 @@ class TestJointLoglik:
             assert g[k] == pytest.approx((vp - vm) / 2e-6, rel=1e-6, abs=1e-8)
         assert np.all(np.linalg.eigvalsh(h) < 0)
 
-    def test_singular_covariance(self):
+    @pytest.mark.parametrize("design", [("common", "common"), ("per-node", "per-node")])
+    def test_laplace_kernel_from_joint_modes(self, design, fig1, rng):
+        # the kernel's value is, rater by rater, the joint log-likelihood at
+        # its mode plus (d/2) log 2 pi - 1/2 log det(-Hessian) there
+        trait_design, item_design = design
+        y = rng.integers(1, 6, size=(6, 3))
+        pseudo = PseudoData.from_ratings(RatingMatrix(y, 5), fig1)
+        d = 1 if trait_design == "common" else fig1.N
+        alpha = rng.normal(size=3 if item_design == "common" else (3, fig1.N))
+        a = rng.normal(scale=0.3, size=(d, d))
+        sigma = 0.8 * np.eye(d) + a @ a.T
+        value, _, _, modes = laplace_marginal_loglik(
+            alpha, sigma, pseudo, trait_design=trait_design, gradient=True
+        )
+        records = _pseudo_records(y, fig1)
+        want = 0.0
+        for i in range(6):
+            v, g, h = joint_loglik(alpha, sigma, modes[i], [r for r in records if r[0] == i],
+                                   trait_design)
+            np.testing.assert_allclose(g, 0.0, atol=1e-7)
+            want += v + 0.5 * d * np.log(2 * np.pi) - 0.5 * np.linalg.slogdet(-h)[1]
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_singular_covariance(self, fig1):
+        pseudo = PseudoData.from_ratings(RatingMatrix(np.array([[3]]), 5), fig1)
         with pytest.raises(ValueError, match="positive definite"):
-            joint_loglik(np.zeros(1), np.zeros((1, 1)), [0.0], [])
+            laplace_marginal_loglik(np.zeros(1), np.zeros((1, 1)), pseudo)
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +541,10 @@ class TestPosteriorModes:
         data, _ = _simulate(30, 4, fig1, seed=21)
         res = fit(data, ModelSpec(fig1), FitOptions(compute_se=False))
         modes = posterior_modes(res, data)
-        recs = expand_to_pseudo_data(data, fig1)
+        np.testing.assert_allclose(modes, res.eta_hat, atol=1e-7)
+        recs = _pseudo_records(data.values, fig1)
         for i in range(5):
-            ri = [r for r in recs if r.rater == i]
-            ri = [type(r)(0, r.item, r.node, r.z) for r in ri]
+            ri = [r for r in recs if r[0] == i]
             _, g, _ = joint_loglik(
                 res.alpha_hat[:, 0], res.sigma_hat, [modes[i, 0]], ri
             )

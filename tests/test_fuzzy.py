@@ -16,7 +16,6 @@ from fuzzyirtree.fuzzy import (
     kaufmann_of,
     kaufmann_support,
     kaufmann_support_table,
-    kaufmann_table,
     membership,
     multiverse_moments,
     williams_link,
@@ -32,6 +31,53 @@ def dist5(seed):
 
 
 distributions = st.integers(min_value=0, max_value=10_000).map(dist5)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: one cell at a time, in plain scalar arithmetic
+# ---------------------------------------------------------------------------
+
+
+def oracle_membership(f, y):
+    """Branch-by-branch membership of the points y in f."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape)
+    if f.l == f.c == f.r:
+        return np.where(y == f.c, 1.0, 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        left = (y > f.l) & (y <= f.c)
+        out[left] = 1.0 / (1.0 + ((f.c - y[left]) / (y[left] - f.l)) ** f.omega)
+        right = (y > f.c) & (y < f.r)
+        out[right] = 1.0 / (1.0 + ((f.r - y[right]) / (y[right] - f.c)) ** (-f.omega))
+    return out
+
+
+def oracle_convert(p):
+    """Moments, Williams link and the map back to 1..M of one distribution:
+    (c, l, r, omega, clamped)."""
+    p = np.asarray(p, dtype=float)
+    y = np.arange(1, p.size + 1, dtype=float)
+    c = float(p @ y)
+    s = max(float(p @ (y - c) ** 2), 0.0)
+    scale = p.size - 1.0
+    cn, sn = (c - 1.0) / scale, s / scale**2
+    clamped = False
+    if sn < 1e-9:
+        ln = rn = cn
+    else:
+        mu = (1.0 + cn / sn) / (2.0 + 1.0 / sn)
+        rad = 3.5 * sn - 3.0 * (cn - mu) ** 2
+        if rad < 0.0:
+            rad, clamped = 0.0, True
+        h1 = np.sqrt(rad)
+        h2 = 0.5 * (h1 + 3.0 * cn - 3.0 * mu)
+        ln, rn = cn - h2, cn - h2 + h1
+        if not 0.0 <= ln <= cn:
+            ln, clamped = min(max(ln, 0.0), cn), True
+        if not cn <= rn <= 1.0:
+            rn, clamped = min(max(rn, cn), 1.0), True
+    l, r = min(1.0 + scale * ln, c), max(1.0 + scale * rn, c)
+    return c, l, r, float(np.sum(p**2)), clamped
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +292,33 @@ class TestConvert:
     @settings(max_examples=200)
     def test_table_matches_scalar(self, d):
         c, l, r, w, clamped = convert_table(d.probs[None, :])
+        want = oracle_convert(d.probs)
+        assert c[0] == pytest.approx(want[0], abs=1e-12)
+        assert l[0] == pytest.approx(want[1], abs=1e-12)
+        assert r[0] == pytest.approx(want[2], abs=1e-12)
+        assert w[0] == pytest.approx(want[3], abs=1e-12)
+        assert bool(clamped[0]) == want[4]
         f = convert(d, 5)
-        assert c[0] == pytest.approx(f.c, abs=1e-12)
-        assert l[0] == pytest.approx(f.l, abs=1e-12)
-        assert r[0] == pytest.approx(f.r, abs=1e-12)
-        assert w[0] == pytest.approx(f.omega, abs=1e-12)
-        assert bool(clamped[0]) == f.clamped
+        assert (f.c, f.l, f.r, f.omega, f.clamped) == (c[0], l[0], r[0], w[0], clamped[0])
+
+    def test_near_crisp_six_categories_keeps_order(self):
+        # the degenerate branch maps back as 1 + 5 ((c - 1) / 5), which is
+        # not c; the endpoints must still not cross the mode
+        p = np.array([3e-12, 0, 0, 1 - 3e-12, 0, 0])
+        c, l, r, w, clamped = convert_table(p[None, :])
+        assert l[0] == c[0] == r[0]
+        fz = FuzzyRatingMatrix(c=c.reshape(1, 1), l=l.reshape(1, 1), r=r.reshape(1, 1),
+                               omega=w.reshape(1, 1), clamped=clamped.reshape(1, 1),
+                               tree_digest="")
+        _, f = fz.entry(0, 0)
+        assert f.degenerate
+        assert convert(MultiverseDistribution(p), 6).degenerate
+
+    @pytest.mark.parametrize("M", [3, 4, 5, 6, 7])
+    def test_order_on_near_crisp_draws(self, M):
+        p = np.random.default_rng(M).dirichlet(np.full(M, 0.005), size=20_000)
+        c, l, r, _, _ = convert_table(p)
+        assert (l <= c).all() and (c <= r).all()
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +415,12 @@ class TestKaufmann:
         vals = rng.random(301)
         assert kaufmann_index(vals) == pytest.approx(_kaufmann_loop(vals), abs=1e-12)
 
+    def test_reduces_along_last_axis(self, rng):
+        vals = rng.random((3, 4, 301))
+        k = kaufmann_index(vals)
+        assert k.shape == (3, 4)
+        assert k[2, 1] == kaufmann_index(vals[2, 1])
+
     def test_linear_triangle_on_full_grid(self):
         # continuum value of the integral over the support is 0.5; the grid
         # over [1, 5] dilutes it by the support fraction 2/4
@@ -379,12 +452,19 @@ class TestKaufmann:
         l = c - rng.uniform(0.05, 1.0, 20)
         r = c + rng.uniform(0.05, 1.0, 20)
         w = rng.uniform(0.2, 1.0, 20)
-        kt = kaufmann_table(c, l, r, w, 5)
+        l[0] = c[0]  # a number with an empty left branch
         ks = kaufmann_support_table(c, l, r, w)
+        full = np.linspace(1.0, 5.0, 201)
         for i in range(20):
             f = Tfn4(c[i], l[i], r[i], w[i])
-            assert kt[i] == pytest.approx(kaufmann_of(f, 5), abs=1e-12)
-            assert ks[i] == pytest.approx(kaufmann_support(f), abs=1e-12)
+            own = np.linspace(f.l, f.r, 201)
+            np.testing.assert_allclose(membership(f, full), oracle_membership(f, full),
+                                       rtol=0, atol=1e-12)
+            assert kaufmann_of(f, 5) == pytest.approx(
+                _kaufmann_loop(oracle_membership(f, full)), abs=1e-12)
+            assert ks[i] == pytest.approx(
+                _kaufmann_loop(oracle_membership(f, own)), abs=1e-12)
+            assert kaufmann_support(f) == ks[i]
 
     def test_support_table_degenerate_rows(self):
         ks = kaufmann_support_table([3.0, 3.0], [3.0, 2.0], [3.0, 4.0], [1.0, 1.0])

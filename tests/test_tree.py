@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from fuzzyirtree.tree import (
     NA,
-    ItemEasiness,
-    PersonTraits,
     ResponseTree,
-    branch_probability,
     category_probabilities,
     category_probability_table,
     parse_tree_spec,
@@ -19,6 +16,14 @@ from fuzzyirtree.tree import (
 )
 
 finite = st.floats(min_value=-30, max_value=30, allow_nan=False)
+
+
+# a single node with categories (no, yes): P(yes) is the branch probability
+ONE_NODE = ResponseTree(M=2, N=1, map=[[0], [1]], node_labels=("a",))
+
+
+def branch_probability(eta, alpha):
+    return category_probabilities(ONE_NODE, [eta], [alpha])[1]
 
 
 class TestBranchProbability:
@@ -35,10 +40,11 @@ class TestBranchProbability:
         )
 
     @pytest.mark.parametrize("lp", [-500.0, -40.0, 40.0, 500.0])
-    def test_stable_for_extreme_predictors(self, lp):
-        p = branch_probability(lp, 0.0)
-        assert np.isfinite(p)
-        assert 0.0 <= p <= 1.0
+    def test_stable_for_extreme_predictors(self, lp, fig1, fig2):
+        for tree in (ONE_NODE, fig1, fig2):
+            p = category_probabilities(tree, np.full(tree.N, lp), np.zeros(tree.N))
+            assert np.isfinite(p).all()
+            assert ((p >= 0.0) & (p <= 1.0)).all()
 
     @given(a=finite, b=finite)
     def test_complement_identity(self, a, b):
@@ -47,24 +53,22 @@ class TestBranchProbability:
         )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            branch_probability(bad, 0.0)
-        with pytest.raises(ValueError):
-            branch_probability(0.0, bad)
+    def test_non_finite_rejected(self, bad, fig1):
+        ok = np.zeros(fig1.N)
+        broken = np.array([0.0, bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="traits must be finite"):
+            category_probabilities(fig1, broken, ok)
+        with pytest.raises(ValueError, match="easiness must be finite"):
+            category_probabilities(fig1, ok, broken)
 
 
 class TestCategoryProbabilities:
     def test_all_zero_parameters_five_cat(self, fig1):
-        p = category_probabilities(
-            fig1, PersonTraits.common(0, fig1.N), ItemEasiness.common(0, fig1.N)
-        )
+        p = category_probabilities(fig1, np.zeros(fig1.N), np.zeros(fig1.N))
         np.testing.assert_allclose(p, [0.125, 0.125, 0.5, 0.125, 0.125], atol=1e-15)
 
     def test_all_zero_parameters_six_cat(self, fig2):
-        p = category_probabilities(
-            fig2, PersonTraits.common(0, fig2.N), ItemEasiness.common(0, fig2.N)
-        )
+        p = category_probabilities(fig2, np.zeros(fig2.N), np.zeros(fig2.N))
         np.testing.assert_allclose(
             p, [0.125, 0.125, 0.25, 0.25, 0.125, 0.125], atol=1e-15
         )
@@ -72,9 +76,7 @@ class TestCategoryProbabilities:
     def test_common_trait_one(self, fig1):
         # hand products of logistic branch terms along each path, e.g.
         # P(cat 1) = s(1)*(1-s(1))^2 and P(cat 3) = 1-s(1) with s = logistic
-        p = category_probabilities(
-            fig1, PersonTraits.common(1, fig1.N), ItemEasiness.common(0, fig1.N)
-        )
+        p = category_probabilities(fig1, np.ones(fig1.N), np.zeros(fig1.N))
         np.testing.assert_allclose(
             p, [0.05287, 0.14373, 0.26894, 0.14373, 0.39073], atol=5e-5
         )
@@ -105,6 +107,8 @@ class TestCategoryProbabilities:
     def test_length_mismatch(self, fig1):
         with pytest.raises(ValueError, match="length"):
             category_probabilities(fig1, [0.0, 0.0], [0.0] * fig1.N)
+        with pytest.raises(ValueError, match="length"):
+            category_probabilities(fig1, [0.0] * fig1.N, [0.0] * (fig1.N + 1))
 
 
 class TestValidateTree:
