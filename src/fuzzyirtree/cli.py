@@ -43,7 +43,10 @@ def _load_tree(args) -> tree.ResponseTree:
 
 def _read_ratings(path: str, M: int) -> RatingMatrix:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as e:
+            raise ValueError(f"{path}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: empty ratings file")
     start = 0
@@ -131,7 +134,7 @@ def _fuzzy_csv(fz: fuzzy.FuzzyRatingMatrix) -> str:
 def cmd_convert(args) -> int:
     t = _load_tree(args)
     with open(args.fit, encoding="utf-8") as fh:
-        fitres = fit_from_json(fh.read())
+        fitres = fit_from_json(fh.read(), t)
     ratings = _read_ratings(args.data, t.M) if args.data else None
     fz = fuzzy.convert_all(fitres, t, ratings)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -151,18 +154,19 @@ def _design_from_json(doc: dict) -> simulation.SimDesign:
         t = tree.parse_tree_spec(json.dumps(spec))
     else:
         raise ValueError("'tree' must be a preset name or an inline tree spec")
+    # optional fields keep SimDesign's defaults when the file leaves them out
+    optional = {k: float(doc[k]) for k in ("alpha0", "sigma_alpha", "gamma", "delta")
+                if k in doc}
+    if "direction" in doc:
+        optional["direction"] = doc["direction"]
     return simulation.SimDesign(
         I_levels=tuple(doc["I"]),
         J_levels=tuple(doc["J"]),
         pi_levels=tuple(doc["pi"]),
         B=int(doc["B"]),
         tree=t,
-        alpha0=float(doc.get("alpha0", -1.75)),
-        sigma_alpha=float(doc.get("sigma_alpha", 0.25)),
         seed=int(doc["seed"]),
-        gamma=float(doc.get("gamma", 1.0)),
-        delta=float(doc.get("delta", 2.0)),
-        direction=doc.get("direction", "faking-good"),
+        **optional,
     )
 
 

@@ -10,6 +10,10 @@ automatic Laplace approximation (Skaug & Fournier 2006; Kristensen et al.
 2016): the envelope term at the modes plus the derivative of
 -1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit,
 its convergence check and its standard errors all use that gradient.
+
+A fit is a `FitResult` with its `ModelSpec`; `fit_from_json` reads a
+`fit_to_json` artifact back as the same object. The easiness `alpha` is a
+(J, `ModelSpec.item_cols`) matrix throughout.
 """
 from __future__ import annotations
 
@@ -92,6 +96,11 @@ class ModelSpec:
         """Dimension of the per-rater random effect."""
         return 1 if self.trait_design == "common" else self.tree.N
 
+    @property
+    def item_cols(self) -> int:
+        """Easiness columns per item: 1 for common items, N for per-node."""
+        return 1 if self.item_design == "common" else self.tree.N
+
 
 @dataclass(frozen=True)
 class PseudoData:
@@ -127,6 +136,11 @@ class PseudoData:
     def __len__(self):
         return self.rater.size
 
+    def alpha_index(self, cols: int) -> np.ndarray:
+        """Flat index of each record's entry in a (J, cols) easiness matrix:
+        column 0 when cols is 1, the record's node when cols is N."""
+        return self.item if cols == 1 else self.item * cols + self.node
+
 
 def _cov_inverse(sigma):
     """Inverse and log-determinant of a positive definite covariance."""
@@ -138,17 +152,6 @@ def _cov_inverse(sigma):
     return np.linalg.inv(sigma), 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _record_layout(alpha, item, node, trait_design):
-    """Per-record easiness and random-effect index of pseudo-observations.
-
-    `alpha` is (J,) for common items or (J, N) for per-node items.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    alpha_rec = alpha[item] if alpha.ndim == 1 else alpha[item, node]
-    re_node = node if trait_design == "per-node" else np.zeros(len(node), dtype=int)
-    return alpha_rec, re_node
-
-
 def _solve_modes(alpha, sigma, pseudo: PseudoData, trait_design, eta0=None):
     """Vectorized per-rater Newton maximization of the joint log-likelihood.
 
@@ -158,7 +161,8 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, trait_design, eta0=None):
     to converge.
     """
     sinv, logdet_sigma = _cov_inverse(sigma)
-    alpha_rec, re_node = _record_layout(alpha, pseudo.item, pseudo.node, trait_design)
+    alpha_rec = alpha.ravel()[pseudo.alpha_index(alpha.shape[1])]
+    re_node = pseudo.node if trait_design == "per-node" else np.zeros(len(pseudo), dtype=int)
     d = sinv.shape[0]
     n_raters = pseudo.I
     z, rater = pseudo.z, pseudo.rater
@@ -215,8 +219,9 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
     """Laplace-approximated marginal log-likelihood L, summed over raters.
 
     For each rater: joint value at the mode + (d/2) log(2 pi)
-    - 1/2 log det(-Hessian at the mode). `eta0` (I x d) starts the inner
-    Newton from given modes instead of zero.
+    - 1/2 log det(-Hessian at the mode). `alpha` is the (J, cols) easiness
+    of `ModelSpec.item_cols`; a (J,) vector is read as (J, 1). `eta0`
+    (I x d) starts the inner Newton from given modes instead of zero.
 
     With `gradient=True`, returns (L, dL/dalpha shaped like alpha, G, modes)
     where G is the symmetric d x d matrix with dL = tr(G dSigma) and modes
@@ -224,7 +229,8 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
     """
     if not isinstance(pseudo, PseudoData):
         raise TypeError("pseudo must be a PseudoData (see PseudoData.from_ratings)")
-    alpha = np.asarray(alpha, dtype=float)
+    shape = np.shape(alpha)
+    alpha = np.asarray(alpha, dtype=float).reshape(pseudo.J, -1)
     sinv, alpha_rec, re_node, eta, neg_hess, values = _solve_modes(
         alpha, sigma, pseudo, trait_design, eta0
     )
@@ -251,13 +257,9 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
     t = np.bincount(rater * d + re_node, weights=u, minlength=n_raters * d)
     v = np.einsum("ide,ie->id", a_inv, a_diag * t.reshape(n_raters, d))
     per_rec = (pseudo.z - p) - 0.5 * a_diag[rater, re_node] * u + 0.5 * v[rater, re_node] * s
-    if alpha.ndim == 1:
-        d_alpha = np.bincount(pseudo.item, weights=per_rec, minlength=alpha.size)
-    else:
-        n_cols = alpha.shape[1]
-        d_alpha = np.bincount(
-            pseudo.item * n_cols + pseudo.node, weights=per_rec, minlength=alpha.size
-        ).reshape(alpha.shape)
+    d_alpha = np.bincount(
+        pseudo.alpha_index(alpha.shape[1]), weights=per_rec, minlength=alpha.size
+    ).reshape(shape)
     # G = 1/2 sum_i [-Q + Q eta eta' Q + Q A_i Q - 1/2 Q (v eta' + eta v') Q]
     vt_eta = v.T @ eta
     inner = eta.T @ eta + a_inv.sum(axis=0) - 0.5 * (vt_eta + vt_eta.T)
@@ -282,21 +284,12 @@ class FitResult:
     se_alpha: np.ndarray | None
     converged: bool
     iterations: int
-    model: object
+    model: ModelSpec
     tree_digest: str
     warnings: list = field(default_factory=list)
     x: np.ndarray | None = None    # packed optimum (alpha params + cov params)
     # how the fit got its answer; not part of the JSON artifact
     diagnostics: dict = field(default_factory=dict)
-
-
-def _n_cov_params(spec: ModelSpec) -> int:
-    d = spec.re_dim
-    if spec.covariance == "scalar":
-        return 1
-    if spec.covariance == "diagonal":
-        return d
-    return d * (d + 1) // 2
 
 
 def _unpack_cov(theta, spec: ModelSpec) -> np.ndarray:
@@ -334,30 +327,42 @@ def _cov_gradient(g_sigma, theta, spec: ModelSpec) -> np.ndarray:
     return grad[np.tril_indices(d)]
 
 
+def _cov_params(low, spec: ModelSpec) -> np.ndarray:
+    """Inverse of `_unpack_cov`, from the Cholesky factor of the covariance."""
+    d = spec.re_dim
+    idx = np.arange(d)
+    if spec.covariance == "scalar":
+        return np.log(low[:1, 0])
+    if spec.covariance == "diagonal":
+        return np.log(low[idx, idx])
+    theta = low.copy()
+    theta[idx, idx] = np.log(low[idx, idx])
+    return theta[np.tril_indices(d)]
+
+
+def _cov_bounds(spec: ModelSpec) -> list:
+    """L-BFGS-B bounds of the covariance parameters: [-8, 5] on log standard
+    deviations, [-20, 20] on the off-diagonal unstructured factor."""
+    if spec.covariance != "unstructured":
+        return [(-8.0, 5.0)] * (1 if spec.covariance == "scalar" else spec.re_dim)
+    return [(-8.0, 5.0) if i == j else (-20.0, 20.0)
+            for i, j in zip(*np.tril_indices(spec.re_dim))]
+
+
 def _pack(alpha_params, cov_params):
     return np.concatenate([np.ravel(alpha_params), np.ravel(cov_params)])
 
 
-def _alpha_matrix(alpha_params, spec: ModelSpec, n_items: int) -> np.ndarray:
-    if spec.item_design == "common":
-        return np.asarray(alpha_params).reshape(n_items, 1)
-    return np.asarray(alpha_params).reshape(n_items, spec.tree.N)
-
-
 def _start_values(pseudo: PseudoData, spec: ModelSpec) -> np.ndarray:
     """Empirical-logit starting values for the fixed effects, identity cov."""
-    if spec.item_design == "common":
-        num = np.bincount(pseudo.item, weights=pseudo.z, minlength=pseudo.J)
-        den = np.bincount(pseudo.item, minlength=pseudo.J)
-    else:
-        flat = pseudo.item * pseudo.N + pseudo.node
-        size = pseudo.J * pseudo.N
-        num = np.bincount(flat, weights=pseudo.z, minlength=size)
-        den = np.bincount(flat, minlength=size)
+    flat = pseudo.alpha_index(spec.item_cols)
+    size = pseudo.J * spec.item_cols
+    num = np.bincount(flat, weights=pseudo.z, minlength=size)
+    den = np.bincount(flat, minlength=size)
     p = np.where(den > 0, num / np.maximum(den, 1), 0.5)
     p = np.clip(p, 1e-6, 1 - 1e-6)
     logit = np.clip(np.log(p / (1.0 - p)), -3.0, 3.0)
-    return _pack(logit, np.zeros(_n_cov_params(spec)))
+    return _pack(logit, np.zeros(len(_cov_bounds(spec))))
 
 
 def _separation_warnings(pseudo: PseudoData, tree: ResponseTree) -> list:
@@ -375,10 +380,6 @@ def _separation_warnings(pseudo: PseudoData, tree: ResponseTree) -> list:
     return out
 
 
-def _fd_step(x):
-    return SE_REL_STEP * np.maximum(1.0, np.abs(x))
-
-
 def _make_objective(pseudo: PseudoData, spec: ModelSpec, J: int):
     """The Laplace objective of a fit: packed x -> (-L, -dL/dx).
 
@@ -386,12 +387,10 @@ def _make_objective(pseudo: PseudoData, spec: ModelSpec, J: int):
     evaluation and keeps them in `objective.modes`; `objective.evaluations`
     counts its calls. Make one per fit: the closure is not shared.
     """
-    n_alpha = J if spec.item_design == "common" else J * spec.tree.N
+    n_alpha = J * spec.item_cols
 
     def objective(x):
-        alpha = x[:n_alpha]
-        if spec.item_design == "per-node":
-            alpha = alpha.reshape(J, spec.tree.N)
+        alpha = x[:n_alpha].reshape(J, spec.item_cols)
         theta = x[n_alpha:]
         value, d_alpha, g_sigma, eta = laplace_marginal_loglik(
             alpha, _unpack_cov(theta, spec), pseudo, trait_design=spec.trait_design,
@@ -417,21 +416,12 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None, 
     tree = spec.tree
     pseudo = PseudoData.from_ratings(data, tree)
     notes = _separation_warnings(pseudo, tree)
-    n_alpha = data.J if spec.item_design == "common" else data.J * tree.N
-    n_cov = _n_cov_params(spec)
+    n_alpha = data.J * spec.item_cols
+    bounds = [(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)
     x0 = options.start if options.start is not None else _start_values(pseudo, spec)
     x0 = np.asarray(x0, dtype=float)
-    if x0.size != n_alpha + n_cov:
-        raise ValueError(f"start vector must have {n_alpha + n_cov} entries")
-
-    bounds = [(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha
-    d = spec.re_dim
-    if spec.covariance == "unstructured":
-        for i in range(d):
-            for j in range(i + 1):
-                bounds.append((-8.0, 5.0) if i == j else (-20.0, 20.0))
-    else:
-        bounds += [(-8.0, 5.0)] * n_cov
+    if x0.size != len(bounds):
+        raise ValueError(f"start vector must have {len(bounds)} entries")
     objective = _make_objective(pseudo, spec, data.J)
     res = minimize(
         objective,
@@ -455,7 +445,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None, 
         notes = notes + [f"did not converge after {res.nit} iterations"]
 
     result = FitResult(
-        alpha_hat=_alpha_matrix(x[:n_alpha], spec, data.J),
+        alpha_hat=x[:n_alpha].reshape(data.J, spec.item_cols),
         sigma_hat=_unpack_cov(x[n_alpha:], spec),
         eta_hat=_expand_modes(objective.modes, spec),
         log_marginal_lik=-nll,
@@ -484,9 +474,7 @@ def posterior_modes(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     """Per-rater joint-likelihood maximizers at the fitted parameters, I x N."""
     spec = fitres.model
     pseudo = PseudoData.from_ratings(data, spec.tree)
-    alpha = fitres.alpha_hat
-    eta = _solve_modes(alpha[:, 0] if alpha.shape[1] == 1 else alpha, fitres.sigma_hat,
-                       pseudo, spec.trait_design)[3]
+    eta = _solve_modes(fitres.alpha_hat, fitres.sigma_hat, pseudo, spec.trait_design)[3]
     return _expand_modes(eta, spec)
 
 
@@ -513,7 +501,7 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
         return objective(v)[1]
 
     n = x.size
-    h = _fd_step(x)
+    h = SE_REL_STEP * np.maximum(1.0, np.abs(x))
     hess = np.empty((n, n))
     for i in range(n):
         step = np.zeros(n)
@@ -535,23 +523,11 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
 def fit_to_json(fitres: FitResult) -> str:
     """Canonical JSON fit artifact; byte-identical for identical fits."""
     spec = fitres.model
-    if isinstance(spec, ModelSpec):
-        model = {
-            "trait_design": spec.trait_design,
-            "item_design": spec.item_design,
-            "covariance": spec.covariance,
-            "M": spec.tree.M,
-            "N": spec.tree.N,
-        }
-    else:
-        model = dict(spec)
     chol = np.linalg.cholesky(fitres.sigma_hat)
-    d = chol.shape[0]
-    tril = [float(chol[i, j]) for i in range(d) for j in range(i + 1)]
     doc = {
         "alpha": [float(a) for a in fitres.alpha_hat.ravel()],
         "alpha_shape": list(fitres.alpha_hat.shape),
-        "sigma_cholesky": tril,
+        "sigma_cholesky": chol[np.tril_indices(len(chol))].tolist(),
         "eta": [[float(v) for v in row] for row in fitres.eta_hat],
         "loglik": float(fitres.log_marginal_lik),
         "converged": bool(fitres.converged),
@@ -559,37 +535,59 @@ def fit_to_json(fitres: FitResult) -> str:
         "se": None
         if fitres.se_alpha is None
         else [None if np.isnan(s) else float(s) for s in fitres.se_alpha.ravel()],
-        "model": model,
+        "model": {
+            "trait_design": spec.trait_design,
+            "item_design": spec.item_design,
+            "covariance": spec.covariance,
+            "M": spec.tree.M,
+            "N": spec.tree.N,
+        },
         "tree_digest": fitres.tree_digest,
         "warnings": list(fitres.warnings),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def fit_from_json(text: str) -> FitResult:
+def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
+    """Read a `fit_to_json` artifact back as the FitResult of its fit.
+
+    `tree` must be the tree the fit was made with; its digest is checked.
+    The `ModelSpec` is rebuilt from the artifact's `model` fields and the
+    packed optimum `x` from `alpha` and `sigma_cholesky`, so the result
+    works with `posterior_modes`, `standard_errors` and `convert_all` as a
+    fresh fit does. Only `diagnostics`, which the artifact leaves out, is
+    empty.
+    """
     doc = json.loads(text)
-    shape = tuple(doc["alpha_shape"])
-    tril = doc["sigma_cholesky"]
-    d = int((np.sqrt(8 * len(tril) + 1) - 1) / 2)
+    if doc["tree_digest"] != tree.digest():
+        raise ValueError("tree digest mismatch: fit was produced with a different tree")
+    model = doc["model"]
+    for key in ("trait_design", "item_design", "covariance", "M", "N"):
+        if not isinstance(model, dict) or key not in model:
+            raise ValueError(f"fit artifact: model is missing field '{key}'")
+    spec = ModelSpec(tree, model["trait_design"], model["item_design"], model["covariance"])
+    alpha = np.array(doc["alpha"], dtype=float).reshape(doc["alpha_shape"])
+    eta = np.array(doc["eta"], dtype=float)
+    if alpha.shape[1:] != (spec.item_cols,) or eta.shape[1:] != (tree.N,):
+        raise ValueError(f"fit artifact: alpha_shape must be [J, {spec.item_cols}] for "
+                         f"{spec.item_design} items and eta an I x {tree.N} matrix")
+    d = spec.re_dim
     low = np.zeros((d, d))
-    k = 0
-    for i in range(d):
-        for j in range(i + 1):
-            low[i, j] = tril[k]
-            k += 1
+    low[np.tril_indices(d)] = doc["sigma_cholesky"]
+    if not (np.diag(low) > 0).all():
+        raise ValueError("fit artifact: sigma_cholesky needs a positive diagonal")
+    theta = _cov_params(low, spec)
     se = doc.get("se")
     return FitResult(
-        alpha_hat=np.array(doc["alpha"]).reshape(shape),
-        sigma_hat=low @ low.T,
-        eta_hat=np.array(doc["eta"], dtype=float),
+        alpha_hat=alpha,
+        sigma_hat=_unpack_cov(theta, spec),
+        eta_hat=eta,
         log_marginal_lik=float(doc["loglik"]),
-        se_alpha=None
-        if se is None
-        else np.array([np.nan if s is None else s for s in se]).reshape(shape),
+        se_alpha=None if se is None else np.array(se, dtype=float).reshape(alpha.shape),
         converged=bool(doc["converged"]),
         iterations=int(doc["iterations"]),
-        model=doc["model"],
+        model=spec,
         tree_digest=doc["tree_digest"],
         warnings=list(doc.get("warnings", [])),
-        x=None,
+        x=_pack(alpha, theta),
     )

@@ -82,9 +82,9 @@ def _membership_rows(grid, c, l, r, w):
     """Membership at `grid` of the Tfn4s (c, l, r, w); all five broadcast.
 
     The left branch owns (l, c], the right branch (c, r); each is evaluated
-    only where it applies. Endpoints and the outside evaluate to 0, the mode
-    to 1 when l < c, and a degenerate number is the crisp indicator of its
-    mode.
+    only where it applies. The mode evaluates to 1, also when it is an
+    endpoint (l = c or c = r; a degenerate number is the crisp indicator of
+    its mode), and the rest of the endpoints and the outside to 0.
     """
     grid, c, l, r, w = np.broadcast_arrays(grid, c, l, r, w)
     out = np.zeros(grid.shape)
@@ -95,7 +95,7 @@ def _membership_rows(grid, c, l, r, w):
         right = (grid > c) & (grid < r)
         y = grid[right]
         out[right] = 1.0 / (1.0 + ((r[right] - y) / (y - c[right])) ** -w[right])
-    out[(l == c) & (c == r) & (grid == c)] = 1.0
+    out[grid == c] = 1.0
     return out
 
 
@@ -223,9 +223,9 @@ class FuzzyRatingMatrix:
 def convert_all(fit, tree, ratings=None) -> FuzzyRatingMatrix:
     """Convert every rater-item cell of a fitted model.
 
-    `fit` needs eta_hat (I x N), alpha_hat (J x N or J x 1) and tree_digest;
-    the digest must match `tree` so the conversion uses the same structure
-    the model was fit with.
+    `fit` needs eta_hat (I x N), alpha_hat (J x N or J x 1, which broadcasts
+    over the nodes) and tree_digest; the digest must match `tree` so the
+    conversion uses the same structure the model was fit with.
     """
     from .tree import category_probability_table
 
@@ -233,8 +233,6 @@ def convert_all(fit, tree, ratings=None) -> FuzzyRatingMatrix:
         raise ValueError("tree digest mismatch: fit was produced with a different tree")
     eta = np.asarray(fit.eta_hat, dtype=float)
     alpha = np.asarray(fit.alpha_hat, dtype=float)
-    if alpha.shape[1] == 1:
-        alpha = np.repeat(alpha, tree.N, axis=1)
     n_raters, n_items = eta.shape[0], alpha.shape[0]
     probs = category_probability_table(tree, eta[:, None, :], alpha[None, :, :])
     c, l, r, omega, clamped = convert_table(probs.reshape(-1, tree.M))

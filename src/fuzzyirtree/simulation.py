@@ -7,7 +7,9 @@ order or thread count.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -284,14 +286,11 @@ def run_cell(I, J, pi, B, design: SimDesign, cell_index: int = 0,
 
 def run_study(design: SimDesign, threads: int = 1) -> SimResult:
     """One CellResult per cell of the factorial design, in product order."""
-    rows = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, (I, J, pi) in enumerate(design.cells()):
-                rows.append(run_cell(I, J, pi, design.B, design, idx, pool.map))
-    else:
-        for idx, (I, J, pi) in enumerate(design.cells()):
-            rows.append(run_cell(I, J, pi, design.B, design, idx))
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    with pool or contextlib.nullcontext():
+        executor_map = pool.map if pool else map
+        rows = [
+            run_cell(I, J, pi, design.B, design, idx, executor_map)
+            for idx, (I, J, pi) in enumerate(design.cells())
+        ]
     return SimResult(rows=rows)

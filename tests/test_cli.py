@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fuzzyirtree.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 
@@ -63,6 +66,12 @@ class TestEval:
         assert table[2.0] == 0.0 and table[4.0] == 0.0
         assert table[1.0] == 0.0 and table[5.0] == 0.0
 
+    def test_mode_with_empty_left_branch(self, capsys):
+        # l = c < r: the mode is also the left endpoint and belongs to it
+        code = run_cli("eval", "--c", "3", "--l", "3", "--r", "4", "--y", "3")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() == "1"
+
     def test_invalid_shape(self, capsys):
         assert run_cli("eval", "--c", "1", "--l", "2", "--r", "4",
                        "--y", "2.5") == EXIT_DOMAIN
@@ -110,6 +119,27 @@ class TestFit:
         err = capsys.readouterr().err
         assert "rating must be an integer in 1..5 (row 2, column 2" in err
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cell=st.one_of(
+        st.text(max_size=8),
+        st.sampled_from(["", " ", "1.5", "0", "6", "-1", "1e3", "0x3", "3j", "\x00",
+                         '"', '"3', "3,", "\u00a0", "\u0663", "NaN", "1_0"]),
+    ))
+    @example(cell="9" * 200_000)  # longer than the csv module's field limit
+    def test_malformed_cell_is_a_domain_error(self, cell, tmp_path, capsys):
+        # never a traceback: a bad cell is rejected with an error line, or it
+        # reads as a valid rating and the fit runs
+        path = tmp_path / "cells.csv"
+        path.write_text(f"1,2\n3,{cell}\n4,5\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("fit", "--preset", "fig1-5cat", "--data", str(path),
+                       "--out", str(tmp_path / "x.json"), "--no-se")
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_IO)
+        if code != EXIT_OK:
+            assert err.startswith("error: ")
+
     def test_header_autodetect(self, tmp_path):
         path = tmp_path / "headed.csv"
         path.write_text("item1,item2\n1,2\n3,4\n5,1\n2,3\n4,5\n3,3\n2,2\n")
@@ -156,7 +186,10 @@ class TestConvert:
         artifact = {
             "alpha": [0.0], "alpha_shape": [1, 1], "sigma_cholesky": [1.0],
             "eta": [[0.0, 0.0, 0.0, 0.0]], "loglik": 0.0, "converged": True,
-            "iterations": 0, "se": None, "model": {}, "tree_digest": tree.digest(),
+            "iterations": 0, "se": None,
+            "model": {"trait_design": "common", "item_design": "common",
+                      "covariance": "scalar", "M": 5, "N": 4},
+            "tree_digest": tree.digest(),
             "warnings": [],
         }
         fit_path = tmp_path / "fit.json"
@@ -177,6 +210,38 @@ class TestConvert:
                        "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_DOMAIN
         assert "digest" in capsys.readouterr().err
+
+
+    def test_missing_model_field(self, ratings_csv, tmp_path, capsys):
+        path, _ = ratings_csv
+        fit_path = tmp_path / "fit.json"
+        run_cli("fit", "--preset", "fig1-5cat", "--data", str(path),
+                "--out", str(fit_path), "--no-se")
+        doc = json.loads(fit_path.read_text())
+        del doc["model"]["covariance"]
+        fit_path.write_text(json.dumps(doc))
+        code = run_cli("convert", "--preset", "fig1-5cat", "--fit", str(fit_path),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert "model is missing field 'covariance'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("change", [
+        {"model": 5}, {"eta": [0.0, 1.0]}, {"eta": [[0.0, 0.0, 0.0]]},
+        {"alpha_shape": [4]}, {"alpha": "x"}, {"sigma_cholesky": [-1.0]},
+        {"sigma_cholesky": [1.0, 0.0, 1.0]},
+    ], ids=lambda change: "-".join(change))
+    def test_malformed_artifact(self, change, ratings_csv, tmp_path, capsys):
+        path, _ = ratings_csv
+        fit_path = tmp_path / "fit.json"
+        run_cli("fit", "--preset", "fig1-5cat", "--data", str(path),
+                "--out", str(fit_path), "--no-se")
+        fit_path.write_text(json.dumps({**json.loads(fit_path.read_text()), **change}))
+        capsys.readouterr()
+        code = run_cli("convert", "--preset", "fig1-5cat", "--fit", str(fit_path),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSimulate:
@@ -205,6 +270,26 @@ class TestSimulate:
         assert code == EXIT_DOMAIN
         assert "B must be >= 1" in capsys.readouterr().err
 
+    def test_optional_fields_default_in_sim_design(self, tmp_path):
+        from fuzzyirtree.cli import _design_from_json
+        from fuzzyirtree.simulation import SimDesign
+
+        doc = json.loads(self._design(tmp_path).read_text())
+        design = _design_from_json(doc)
+        defaults = SimDesign((1,), (1,), (0.0,), 1, design.tree)
+        for key in ("alpha0", "sigma_alpha", "gamma", "delta", "direction"):
+            assert getattr(design, key) == getattr(defaults, key)
+        doc.update(alpha0=-1, gamma="2.5", direction="faking-bad")
+        design = _design_from_json(doc)
+        assert (design.alpha0, design.gamma, design.direction) == (-1.0, 2.5, "faking-bad")
+
+    def test_bad_optional_value(self, tmp_path, capsys):
+        path = self._design(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "delta": "wide"}))
+        code = run_cli("simulate", "--design", str(path), "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert "wide" in capsys.readouterr().err
+
     def test_missing_design_field(self, tmp_path, capsys):
         path = tmp_path / "design.json"
         path.write_text(json.dumps({"I": [10], "J": [4], "pi": [0.0], "B": 1,
@@ -216,10 +301,12 @@ class TestSimulate:
 
 
 def test_installed_entry_point(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fuzzyirtree.cli", "eval", "--c", "3", "--l", "2",
          "--r", "4", "--omega", "1", "--y", "2.5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.5"

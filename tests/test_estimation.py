@@ -2,14 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fuzzyirtree.estimation import (
     SE_REL_STEP,
     EstimationError,
     FitOptions,
+    FitResult,
     ModelSpec,
     PseudoData,
     RatingMatrix,
+    _cov_bounds,
     _make_objective,
     _start_values,
     _unpack_cov,
@@ -20,6 +24,7 @@ from fuzzyirtree.estimation import (
     posterior_modes,
     standard_errors,
 )
+from fuzzyirtree.fuzzy import convert_all
 from fuzzyirtree.tree import preset_tree
 
 DESIGNS = (
@@ -594,7 +599,11 @@ class TestArtifact:
         data, _ = _simulate(25, 3, fig1, seed=41)
         res = fit(data, ModelSpec(fig1))
         text = fit_to_json(res)
-        back = fit_from_json(text)
+        back = fit_from_json(text, fig1)
+        assert isinstance(back.model, ModelSpec) and back.model.tree is fig1
+        assert (back.model.trait_design, back.model.item_design, back.model.covariance) == (
+            res.model.trait_design, res.model.item_design, res.model.covariance)
+        np.testing.assert_allclose(back.x, res.x, atol=1e-12)
         np.testing.assert_allclose(back.alpha_hat, res.alpha_hat, atol=1e-12)
         np.testing.assert_allclose(back.sigma_hat, res.sigma_hat, atol=1e-12)
         np.testing.assert_allclose(back.eta_hat, res.eta_hat, atol=1e-12)
@@ -608,3 +617,68 @@ class TestArtifact:
         assert fit_to_json(res) == fit_to_json(res)
         doc = json.loads(fit_to_json(res))
         assert set(doc) >= {"alpha", "sigma_cholesky", "eta", "loglik", "tree_digest"}
+
+    @pytest.mark.parametrize("design", DESIGNS, ids="/".join)
+    def test_reload_rebuilds_packed_optimum(self, design, fig1, rng):
+        # the artifact keeps alpha and the Cholesky factor of sigma; the
+        # loader inverts the covariance parametrization to get x back
+        spec = ModelSpec(fig1, *design)
+        n_alpha = 3 * spec.item_cols
+        x = rng.normal(scale=0.5, size=n_alpha + len(_cov_bounds(spec)))
+        res = FitResult(
+            alpha_hat=x[:n_alpha].reshape(3, spec.item_cols),
+            sigma_hat=_unpack_cov(x[n_alpha:], spec), eta_hat=np.zeros((2, fig1.N)),
+            log_marginal_lik=0.0, se_alpha=None, converged=True, iterations=0,
+            model=spec, tree_digest=fig1.digest(), x=x,
+        )
+        back = fit_from_json(fit_to_json(res), fig1)
+        np.testing.assert_allclose(back.x, res.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back.sigma_hat, res.sigma_hat, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _doc(tree):
+        data, _ = _simulate(25, 3, tree, seed=41)
+        return json.loads(fit_to_json(fit(data, ModelSpec(tree), FitOptions(compute_se=False))))
+
+    def test_wrong_tree(self, fig1, fig2):
+        with pytest.raises(ValueError, match="tree digest mismatch"):
+            fit_from_json(json.dumps(self._doc(fig1)), fig2)
+
+    @pytest.mark.parametrize("key", ["trait_design", "item_design", "covariance", "M", "N"])
+    def test_missing_model_field(self, key, fig1):
+        doc = self._doc(fig1)
+        del doc["model"][key]
+        with pytest.raises(ValueError, match=f"model is missing field '{key}'"):
+            fit_from_json(json.dumps(doc), fig1)
+
+    def test_alpha_shape_must_fit_item_design(self, fig1):
+        doc = self._doc(fig1)
+        doc["model"]["item_design"] = "per-node"
+        with pytest.raises(ValueError, match="alpha_shape"):
+            fit_from_json(json.dumps(doc), fig1)
+
+
+ROUND_TRIP_DESIGNS = (("common", "common", "scalar"), ("per-node", "per-node", "diagonal"))
+
+
+class TestLoadedFit:
+    """A fit read back from its artifact works with every API a fresh fit does."""
+
+    @pytest.mark.parametrize("design", ROUND_TRIP_DESIGNS, ids="/".join)
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_raters=st.integers(80, 120),
+           n_items=st.integers(3, 5))
+    def test_same_answers_as_the_fresh_fit(self, design, seed, n_raters, n_items):
+        tree = preset_tree("fig1-5cat")
+        data, _ = _simulate(n_raters, n_items, tree, seed=seed)
+        res = fit(data, ModelSpec(tree, *design), warn=False)
+        # an SE that is NaN on both sides would compare equal and show nothing
+        assume(res.se_alpha is not None and np.isfinite(res.se_alpha).all())
+        back = fit_from_json(fit_to_json(res), tree)
+        fresh, loaded = convert_all(res, tree, data), convert_all(back, tree, data)
+        for name in ("c", "l", "r", "omega", "clamped", "y"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(fresh, name))
+        np.testing.assert_allclose(posterior_modes(back, data), posterior_modes(res, data),
+                                   rtol=0, atol=1e-7)
+        np.testing.assert_allclose(standard_errors(back, data), res.se_alpha,
+                                   rtol=1e-9, atol=0)

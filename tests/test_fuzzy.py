@@ -39,16 +39,15 @@ distributions = st.integers(min_value=0, max_value=10_000).map(dist5)
 
 
 def oracle_membership(f, y):
-    """Branch-by-branch membership of the points y in f."""
+    """Branch-by-branch membership of the points y in f; the mode is 1."""
     y = np.asarray(y, dtype=float)
     out = np.zeros(y.shape)
-    if f.l == f.c == f.r:
-        return np.where(y == f.c, 1.0, 0.0)
     with np.errstate(over="ignore", divide="ignore"):
-        left = (y > f.l) & (y <= f.c)
+        left = (y > f.l) & (y < f.c)
         out[left] = 1.0 / (1.0 + ((f.c - y[left]) / (y[left] - f.l)) ** f.omega)
         right = (y > f.c) & (y < f.r)
         out[right] = 1.0 / (1.0 + ((f.r - y[right]) / (y[right] - f.c)) ** (-f.omega))
+    out[y == f.c] = 1.0
     return out
 
 
@@ -105,6 +104,15 @@ class TestMembership:
         assert membership(f, 4.0) == 0.0
         assert membership(f, 1.0) == 0.0
         assert membership(f, 5.0) == 0.0
+
+    def test_mode_that_is_an_endpoint(self):
+        # an empty left (l = c) or right (c = r) branch leaves the mode at 1
+        np.testing.assert_array_equal(
+            membership(Tfn4(3, 3, 4, 1), np.array([2.9, 3.0, 3.5, 4.0])), [0, 1, 0.5, 0]
+        )
+        np.testing.assert_array_equal(
+            membership(Tfn4(4, 3, 4, 1), np.array([3.0, 3.5, 4.0, 4.1])), [0, 0.5, 1, 0]
+        )
 
     def test_degenerate(self):
         f = Tfn4(2, 2, 2, 1)
