@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
 import warnings
 
@@ -143,7 +144,24 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _design_value(doc: dict, key: str, convert, what: str):
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"design field '{key}' must be {what}, got {doc[key]!r}") from None
+
+
+def _levels(convert):
+    def levels(value):
+        if not isinstance(value, list):
+            raise TypeError
+        return tuple(convert(v) for v in value)
+    return levels
+
+
 def _design_from_json(doc: dict) -> simulation.SimDesign:
+    if not isinstance(doc, dict):
+        raise ValueError("design must be a JSON object")
     for key in ("I", "J", "pi", "B", "tree", "seed"):
         if key not in doc:
             raise ValueError(f"design missing field '{key}'")
@@ -155,17 +173,17 @@ def _design_from_json(doc: dict) -> simulation.SimDesign:
     else:
         raise ValueError("'tree' must be a preset name or an inline tree spec")
     # optional fields keep SimDesign's defaults when the file leaves them out
-    optional = {k: float(doc[k]) for k in ("alpha0", "sigma_alpha", "gamma", "delta")
-                if k in doc}
+    optional = {k: _design_value(doc, k, float, "a number")
+                for k in ("alpha0", "sigma_alpha", "gamma", "delta") if k in doc}
     if "direction" in doc:
         optional["direction"] = doc["direction"]
     return simulation.SimDesign(
-        I_levels=tuple(doc["I"]),
-        J_levels=tuple(doc["J"]),
-        pi_levels=tuple(doc["pi"]),
-        B=int(doc["B"]),
+        I_levels=_design_value(doc, "I", _levels(operator.index), "a list of integers"),
+        J_levels=_design_value(doc, "J", _levels(operator.index), "a list of integers"),
+        pi_levels=_design_value(doc, "pi", _levels(float), "a list of numbers"),
+        B=_design_value(doc, "B", int, "an integer"),
         tree=t,
-        seed=int(doc["seed"]),
+        seed=_design_value(doc, "seed", int, "an integer"),
         **optional,
     )
 
@@ -254,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte-Carlo study from a design file")
     p.add_argument("--design", required=True, help="design JSON file")
     p.add_argument("--out", required=True, help="output results CSV")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (fork) for the replications; default 1")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="evaluate a fuzzy membership function")

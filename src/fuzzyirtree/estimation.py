@@ -559,6 +559,12 @@ def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     empty.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("fit artifact must be a JSON object")
+    for key in ("alpha", "alpha_shape", "eta", "sigma_cholesky", "loglik",
+                "converged", "iterations", "model", "tree_digest"):
+        if key not in doc:
+            raise ValueError(f"fit artifact is missing field '{key}'")
     if doc["tree_digest"] != tree.digest():
         raise ValueError("tree digest mismatch: fit was produced with a different tree")
     model = doc["model"]

@@ -3,13 +3,14 @@ faking-by-replacement model, refit, reconvert, and score recovery.
 
 Every replication owns a counter-based RNG stream keyed by (master seed,
 cell index, replication index), so results do not depend on execution
-order or thread count.
+order or worker count.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -235,6 +236,9 @@ def _replication_rng(seed: int, cell_index: int, b: int) -> np.random.Generator:
 
 
 def _run_replication(I, J, pi, design: SimDesign, cell_index: int, b: int):
+    """One replication of cell `cell_index`: a (pa_c, pa_spread, pa_omega, k)
+    tuple, or None if the fit failed. Module-level so a worker process can
+    run it."""
     rng = _replication_rng(design.seed, cell_index, b)
     tree = design.tree
     gen = generate_true_data(I, J, tree, design.alpha0, design.sigma_alpha, rng)
@@ -257,16 +261,9 @@ def _run_replication(I, J, pi, design: SimDesign, cell_index: int, b: int):
     return (*pa, float(np.mean(k_cells)))
 
 
-def run_cell(I, J, pi, B, design: SimDesign, cell_index: int = 0,
-             executor_map=map) -> CellResult:
-    """B replications of generate -> perturb -> fit -> convert -> score."""
-    reps = list(
-        executor_map(
-            lambda b: _run_replication(I, J, pi, design, cell_index, b), range(B)
-        )
-    )
+def _cell_result(I, J, pi, reps) -> CellResult:
+    """Summarise one cell's replication tuples (None for a failed fit)."""
     done = [r for r in reps if r is not None]
-    n_failed = B - len(done)
     if done:
         arr = np.array(done)  # (n, 4): pa_c, pa_spread, pa_omega, k
         means = arr.mean(axis=0)
@@ -280,17 +277,41 @@ def run_cell(I, J, pi, B, design: SimDesign, cell_index: int = 0,
         pa_spread=means[1], pa_spread_sd=sds[1],
         pa_omega=means[2], pa_omega_sd=sds[2],
         k=means[3], k_sd=sds[3],
-        n_completed=len(done), n_failed=n_failed,
+        n_completed=len(done), n_failed=len(reps) - len(done),
+    )
+
+
+def run_cell(I, J, pi, B, design: SimDesign, cell_index: int = 0) -> CellResult:
+    """B replications of generate -> perturb -> fit -> convert -> score."""
+    return _cell_result(
+        I, J, pi, [_run_replication(I, J, pi, design, cell_index, b) for b in range(B)]
     )
 
 
 def run_study(design: SimDesign, threads: int = 1) -> SimResult:
-    """One CellResult per cell of the factorial design, in product order."""
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    with pool or contextlib.nullcontext():
-        executor_map = pool.map if pool else map
-        rows = [
-            run_cell(I, J, pi, design.B, design, idx, executor_map)
-            for idx, (I, J, pi) in enumerate(design.cells())
-        ]
-    return SimResult(rows=rows)
+    """One CellResult per cell of the factorial design, in product order.
+
+    `threads` is the worker count. Above 1, the replications of every cell
+    run in forked worker processes, at most one per replication and per CPU.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    cells = design.cells()
+    B = design.B
+    tasks = [(I, J, pi, design, idx, b)
+             for idx, (I, J, pi) in enumerate(cells) for b in range(B)]
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        # fork, not the platform default: workers start without re-importing
+        # numpy and scipy, and callers need no __main__ guard. Fork copies
+        # only the calling thread, so other threads of the caller must not
+        # hold locks that a replication takes.
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            reps = list(pool.map(_run_replication, *zip(*tasks), chunksize=1))
+    else:
+        reps = list(itertools.starmap(_run_replication, tasks))
+    return SimResult(rows=[
+        _cell_result(I, J, pi, reps[idx * B:(idx + 1) * B])
+        for idx, (I, J, pi) in enumerate(cells)
+    ])

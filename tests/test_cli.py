@@ -226,6 +226,29 @@ class TestConvert:
         assert "model is missing field 'covariance'" in capsys.readouterr().err
 
 
+    def test_artifact_not_an_object(self, tmp_path, capsys):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text("[1, 2]")
+        code = run_cli("convert", "--preset", "fig1-5cat", "--fit", str(fit_path),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert "fit artifact must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["alpha", "eta", "tree_digest", "converged"])
+    def test_missing_top_level_field(self, key, ratings_csv, tmp_path, capsys):
+        path, _ = ratings_csv
+        fit_path = tmp_path / "fit.json"
+        run_cli("fit", "--preset", "fig1-5cat", "--data", str(path),
+                "--out", str(fit_path), "--no-se")
+        doc = json.loads(fit_path.read_text())
+        del doc[key]
+        fit_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli("convert", "--preset", "fig1-5cat", "--fit", str(fit_path),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert f"fit artifact is missing field '{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("change", [
         {"model": 5}, {"eta": [0.0, 1.0]}, {"eta": [[0.0, 0.0, 0.0]]},
         {"alpha_shape": [4]}, {"alpha": "x"}, {"sigma_cholesky": [-1.0]},
@@ -289,6 +312,31 @@ class TestSimulate:
         code = run_cli("simulate", "--design", str(path), "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_DOMAIN
         assert "wide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_worker_count_must_be_positive(self, threads, tmp_path, capsys):
+        code = run_cli("simulate", "--design", str(self._design(tmp_path)),
+                       "--out", str(tmp_path / "x.csv"), "--threads", threads)
+        assert code == EXIT_DOMAIN
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("I", 20), ("J", "4"), ("I", [20.5]), ("pi", None), ("pi", [None]),
+        ("B", None), ("seed", [1]), ("alpha0", None), ("sigma_alpha", [0.25]),
+    ], ids=lambda v: repr(v))
+    def test_wrongly_typed_design_field(self, key, value, tmp_path, capsys):
+        path = self._design(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        code = run_cli("simulate", "--design", str(path), "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert f"design field '{key}' must be" in capsys.readouterr().err
+
+    def test_design_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "design.json"
+        path.write_text("[1, 2]")
+        code = run_cli("simulate", "--design", str(path), "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert "design must be a JSON object" in capsys.readouterr().err
 
     def test_missing_design_field(self, tmp_path, capsys):
         path = tmp_path / "design.json"

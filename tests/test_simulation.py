@@ -1,9 +1,9 @@
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fuzzyirtree import simulation
 from fuzzyirtree.simulation import (
     FakingModel,
     SimDesign,
@@ -15,7 +15,7 @@ from fuzzyirtree.simulation import (
     run_cell,
     run_study,
 )
-from fuzzyirtree.estimation import RatingMatrix
+from fuzzyirtree.estimation import EstimationError, RatingMatrix
 
 
 def centred_pa_values(est, truth) -> np.ndarray:
@@ -221,10 +221,42 @@ class TestRunCellAndStudy:
 
     def test_thread_count_does_not_change_results(self, tiny_design):
         serial = run_cell(25, 4, 0.5, 3, tiny_design, cell_index=1)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = run_cell(25, 4, 0.5, 3, tiny_design, cell_index=1,
-                                executor_map=pool.map)
-        assert serial == threaded
+        assert run_study(tiny_design, threads=3).rows[1] == serial
+
+    def test_csv_bytes_do_not_depend_on_worker_count(self, tiny_design):
+        assert tiny_design.pi_levels[-1] > 0
+        one, two, three = (run_study(tiny_design, threads=n).to_csv() for n in (1, 2, 3))
+        assert one == two == three
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_worker_count_must_be_positive(self, tiny_design, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_study(tiny_design, threads=threads)
+
+    def test_pool_size_is_capped_by_replications(self, fig1, monkeypatch):
+        requested = []
+        real = simulation.ProcessPoolExecutor
+
+        def recorder(max_workers, **kwargs):
+            requested.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", recorder)
+        design = SimDesign((25,), (4,), (0.5,), 2, fig1, seed=3)
+        row, = run_study(design, threads=64).rows
+        assert row.n_completed + row.n_failed == 2
+        assert all(n <= 2 for n in requested)
+        run_study(design, threads=1)
+        assert len(requested) <= 1  # one worker runs without a pool
+
+    def test_failed_fits_in_workers_are_counted(self, tiny_design, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise EstimationError("forced failure")
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(simulation, "fit", broken_fit)
+        rows = run_study(tiny_design, threads=2).rows
+        assert [(r.n_completed, r.n_failed) for r in rows] == [(0, 3), (0, 3)]
 
     def test_study_rows_and_determinism(self, tiny_design):
         a = run_study(tiny_design)
