@@ -99,9 +99,7 @@ def cmd_fit(args) -> int:
         t,
         trait_design="common" if args.model == "common" else "per-node",
         item_design="common" if args.items == "common" else "per-node",
-        covariance={"scalar": "scalar", "diag": "diagonal", "unstructured": "unstructured"}[
-            args.cov
-        ],
+        covariance="diagonal" if args.cov == "diag" else args.cov,
     )
     opts = FitOptions(max_iter=args.max_iter, tol=args.tol, compute_se=not args.no_se)
     with warnings.catch_warnings(record=True) as caught:

@@ -11,6 +11,13 @@ automatic Laplace approximation (Skaug & Fournier 2006; Kristensen et al.
 -1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit,
 its convergence check and its standard errors all use that gradient.
 
+The trait covariance of every design is Sigma = S R S: S = diag(exp s)
+holds the log standard deviations and R = L L' a correlation matrix whose
+Cholesky factor L has unit-norm rows (identity unless unstructured), so
+Sigma is positive definite for every parameter value. The inner Newton
+stops at gradient INNER_TOL or, failing that within INNER_MAX_ITER steps,
+at a Newton decrement below INNER_DECREMENT_TOL.
+
 A fit is a `FitResult` with its `ModelSpec`; `fit_from_json` reads a
 `fit_to_json` artifact back as the same object. The easiness `alpha` is a
 (J, `ModelSpec.item_cols`) matrix throughout.
@@ -20,6 +27,7 @@ from __future__ import annotations
 import json
 import warnings as _warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,6 +37,7 @@ from .tree import ResponseTree
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 INNER_TOL = 1e-8
+INNER_DECREMENT_TOL = 1e-12
 INNER_MAX_ITER = 100
 ALPHA_BOUND = 15.0
 SE_REL_STEP = 1e-4
@@ -101,6 +110,22 @@ class ModelSpec:
         """Easiness columns per item: 1 for common items, N for per-node."""
         return 1 if self.item_design == "common" else self.tree.N
 
+    @cached_property
+    def cov_layout(self) -> tuple:
+        """(sd, low, size): where `_cov_map` reads its `size` parameters,
+        extended by a fixed 0 at index size and a fixed 1 at size + 1. sd[i]
+        is the index of log sd s_i and low[i, j] that of b_ij. Scalar ties
+        every s_i to one parameter; diagonal and unstructured give each its
+        own, and unstructured adds b_ij (j < i) in row-major order."""
+        d = self.re_dim
+        n_sd = 1 if self.covariance == "scalar" else d
+        n_b = d * (d - 1) // 2 if self.covariance == "unstructured" else 0
+        low = np.full((d, d), n_sd + n_b)
+        rows, cols = np.tril_indices(d, -1)
+        low[rows[:n_b], cols[:n_b]] = n_sd + np.arange(n_b)
+        np.fill_diagonal(low, n_sd + n_b + 1)
+        return np.arange(d) % n_sd, low, n_sd + n_b
+
 
 @dataclass(frozen=True)
 class PseudoData:
@@ -122,16 +147,7 @@ class PseudoData:
             )
         rows = tree.map[data.values - 1]  # (I, J, N)
         mask = ~np.isnan(rows)
-        i_idx, j_idx, n_idx = np.nonzero(mask)
-        return cls(
-            rater=i_idx,
-            item=j_idx,
-            node=n_idx,
-            z=rows[mask],
-            I=data.I,
-            J=data.J,
-            N=tree.N,
-        )
+        return cls(*np.nonzero(mask), z=rows[mask], I=data.I, J=data.J, N=tree.N)
 
     def __len__(self):
         return self.rater.size
@@ -157,8 +173,9 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, trait_design, eta0=None):
 
     Returns (sinv, alpha_rec, re_node, eta (I,d), neg_hess (I,d,d), per-rater
     joint values): the covariance inverse and record layout the modes were
-    solved on, then the solution. Raises EstimationError if any rater fails
-    to converge.
+    solved on, then the solution. A rater has converged when its gradient is
+    below INNER_TOL or, after INNER_MAX_ITER steps, its Newton decrement is
+    below INNER_DECREMENT_TOL; if any rater has not, raises EstimationError.
     """
     sinv, logdet_sigma = _cov_inverse(sigma)
     alpha_rec = alpha.ravel()[pseudo.alpha_index(alpha.shape[1])]
@@ -189,9 +206,13 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, trait_design, eta0=None):
         neg_hess[:, idx, idx] += w
         if gmax.max() < INNER_TOL:
             return sinv, alpha_rec, re_node, eta, neg_hess, f_cur
-        if it == INNER_MAX_ITER:
-            break
         step = np.linalg.solve(neg_hess, grad[..., None])[..., 0]
+        if it == INNER_MAX_ITER:
+            # g'H^-1 g is twice the gain in f that the Newton step promises;
+            # below the line search's 1e-12 resolution in f, the mode is found
+            if np.einsum("id,id->i", grad, step).max() < INNER_DECREMENT_TOL:
+                return sinv, alpha_rec, re_node, eta, neg_hess, f_cur
+            break
         scale = np.ones(n_raters)
         for _ in range(50):
             cand = eta + scale[:, None] * step
@@ -292,61 +313,54 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _cov_map(theta, spec: ModelSpec):
+    """Sigma = S R S at theta, with the chain rule G -> dL/dtheta of
+    dL = tr(G dSigma).
+
+    S = diag(exp s); R = L L' with row i of L the vector
+    (b_i1, ..., b_i,i-1, 1) scaled to unit norm. R is a correlation matrix
+    and Sigma positive definite for every theta (Pinheiro & Bates 1996).
+    `ModelSpec.cov_layout` says which entry of theta each s_i and b_ij is.
+    """
+    sd, low_index, size = spec.cov_layout
+    ext = np.concatenate((theta, (0.0, 1.0)))
+    s, b = ext[sd], ext[low_index]
+    norm = np.sqrt((b * b).sum(axis=1))[:, None]
+    low = b / norm
+    scale = np.exp(s[:, None] + s)  # exp(s + s) is exp(2 s) to the bit
+    sigma = scale * (low @ low.T)
+
+    def chain(g_sigma):
+        # dL = sum_i 2 (G Sigma)_ii ds_i + tr(2 L' (G * scale) dL), and the
+        # row normalization gives dL_i = (I - L_i L_i') db_i / |b_i|
+        g_low = 2.0 * (g_sigma * scale) @ low
+        g_b = (g_low - (g_low * low).sum(axis=1)[:, None] * low) / norm
+        grad = np.concatenate((g_b.ravel(), 2.0 * (g_sigma * sigma).sum(axis=1)))
+        return np.bincount(np.concatenate((low_index.ravel(), sd)), weights=grad,
+                           minlength=size + 2)[:size]
+
+    return sigma, chain
+
+
 def _unpack_cov(theta, spec: ModelSpec) -> np.ndarray:
-    d = spec.re_dim
-    if spec.covariance == "scalar":
-        return np.exp(2.0 * theta[0]) * np.eye(d)
-    if spec.covariance == "diagonal":
-        return np.diag(np.exp(2.0 * theta))
-    low = _cov_factor(theta, d)
-    return low @ low.T
+    return _cov_map(theta, spec)[0]
 
 
-def _cov_factor(theta, d: int) -> np.ndarray:
-    """Unstructured covariance factor: row-major lower triangle, log diagonal."""
-    low = np.zeros((d, d))
-    low[np.tril_indices(d)] = theta
-    idx = np.arange(d)
-    low[idx, idx] = np.exp(low[idx, idx])
-    return low
-
-
-def _cov_gradient(g_sigma, theta, spec: ModelSpec) -> np.ndarray:
-    """dL/dtheta from the G of dL = tr(G dSigma), through `_unpack_cov`."""
-    if spec.covariance == "scalar":
-        return np.array([2.0 * np.exp(2.0 * theta[0]) * np.trace(g_sigma)])
-    if spec.covariance == "diagonal":
-        return 2.0 * np.exp(2.0 * theta) * np.diag(g_sigma)
-    # Sigma = F F' gives tr(G dSigma) = tr(2 F' G dF) over the lower
-    # triangle of F, and dF_ii = F_ii dtheta on its log-parametrized diagonal
-    d = spec.re_dim
-    low = _cov_factor(theta, d)
-    grad = 2.0 * g_sigma @ low
-    idx = np.arange(d)
-    grad[idx, idx] *= low[idx, idx]
-    return grad[np.tril_indices(d)]
-
-
-def _cov_params(low, spec: ModelSpec) -> np.ndarray:
-    """Inverse of `_unpack_cov`, from the Cholesky factor of the covariance."""
-    d = spec.re_dim
-    idx = np.arange(d)
-    if spec.covariance == "scalar":
-        return np.log(low[:1, 0])
-    if spec.covariance == "diagonal":
-        return np.log(low[idx, idx])
-    theta = low.copy()
-    theta[idx, idx] = np.log(low[idx, idx])
-    return theta[np.tril_indices(d)]
+def _cov_params(chol, spec: ModelSpec) -> np.ndarray:
+    """Inverse of `_unpack_cov`, from the Cholesky factor of the covariance:
+    s_i is the log norm of its row i and b_ij = chol_ij / chol_ii."""
+    sd, low_index, size = spec.cov_layout
+    theta = np.zeros(size + 2)
+    theta[low_index] = chol / np.diag(chol)[:, None]
+    theta[sd] = np.log(np.linalg.norm(chol, axis=1))
+    return theta[:size]
 
 
 def _cov_bounds(spec: ModelSpec) -> list:
     """L-BFGS-B bounds of the covariance parameters: [-8, 5] on log standard
-    deviations, [-20, 20] on the off-diagonal unstructured factor."""
-    if spec.covariance != "unstructured":
-        return [(-8.0, 5.0)] * (1 if spec.covariance == "scalar" else spec.re_dim)
-    return [(-8.0, 5.0) if i == j else (-20.0, 20.0)
-            for i, j in zip(*np.tril_indices(spec.re_dim))]
+    deviations, [-20, 20] on the correlation factor entries b_ij."""
+    sd, _, size = spec.cov_layout
+    return [(-8.0, 5.0) if k in sd else (-20.0, 20.0) for k in range(size)]
 
 
 def _pack(alpha_params, cov_params):
@@ -362,7 +376,7 @@ def _start_values(pseudo: PseudoData, spec: ModelSpec) -> np.ndarray:
     p = np.where(den > 0, num / np.maximum(den, 1), 0.5)
     p = np.clip(p, 1e-6, 1 - 1e-6)
     logit = np.clip(np.log(p / (1.0 - p)), -3.0, 3.0)
-    return _pack(logit, np.zeros(len(_cov_bounds(spec))))
+    return _pack(logit, np.zeros(spec.cov_layout[2]))
 
 
 def _separation_warnings(pseudo: PseudoData, tree: ResponseTree) -> list:
@@ -391,14 +405,14 @@ def _make_objective(pseudo: PseudoData, spec: ModelSpec, J: int):
 
     def objective(x):
         alpha = x[:n_alpha].reshape(J, spec.item_cols)
-        theta = x[n_alpha:]
+        sigma, chain = _cov_map(x[n_alpha:], spec)
         value, d_alpha, g_sigma, eta = laplace_marginal_loglik(
-            alpha, _unpack_cov(theta, spec), pseudo, trait_design=spec.trait_design,
+            alpha, sigma, pseudo, trait_design=spec.trait_design,
             eta0=objective.modes, gradient=True,
         )
         objective.modes = eta
         objective.evaluations += 1
-        return -value, -_pack(d_alpha, _cov_gradient(g_sigma, theta, spec))
+        return -value, -_pack(d_alpha, chain(g_sigma))
 
     objective.modes = None
     objective.evaluations = 0
@@ -577,9 +591,8 @@ def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     if alpha.shape[1:] != (spec.item_cols,) or eta.shape[1:] != (tree.N,):
         raise ValueError(f"fit artifact: alpha_shape must be [J, {spec.item_cols}] for "
                          f"{spec.item_design} items and eta an I x {tree.N} matrix")
-    d = spec.re_dim
-    low = np.zeros((d, d))
-    low[np.tril_indices(d)] = doc["sigma_cholesky"]
+    low = np.zeros((spec.re_dim, spec.re_dim))
+    low[np.tril_indices(spec.re_dim)] = doc["sigma_cholesky"]
     if not (np.diag(low) > 0).all():
         raise ValueError("fit artifact: sigma_cholesky needs a positive diagonal")
     theta = _cov_params(low, spec)

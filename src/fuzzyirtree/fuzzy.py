@@ -199,6 +199,13 @@ class FuzzyRatingMatrix:
     tree_digest: str
     y: np.ndarray | None = None
 
+    @classmethod
+    def from_probs(cls, probs, tree_digest: str, y=None) -> "FuzzyRatingMatrix":
+        """`convert_table` of each cell of an (I, J, M) array of distributions."""
+        shape = probs.shape[:-1]
+        cols = convert_table(probs.reshape(-1, probs.shape[-1]))
+        return cls(*(v.reshape(shape) for v in cols), tree_digest=tree_digest, y=y)
+
     @property
     def shape(self):
         return self.c.shape
@@ -233,24 +240,13 @@ def convert_all(fit, tree, ratings=None) -> FuzzyRatingMatrix:
         raise ValueError("tree digest mismatch: fit was produced with a different tree")
     eta = np.asarray(fit.eta_hat, dtype=float)
     alpha = np.asarray(fit.alpha_hat, dtype=float)
-    n_raters, n_items = eta.shape[0], alpha.shape[0]
     probs = category_probability_table(tree, eta[:, None, :], alpha[None, :, :])
-    c, l, r, omega, clamped = convert_table(probs.reshape(-1, tree.M))
-    shape = (n_raters, n_items)
     y = None
     if ratings is not None:
         y = np.asarray(ratings.values if hasattr(ratings, "values") else ratings)
-        if y.shape != shape:
-            raise ValueError(f"ratings must be {shape}, got {y.shape}")
-    return FuzzyRatingMatrix(
-        c=c.reshape(shape),
-        l=l.reshape(shape),
-        r=r.reshape(shape),
-        omega=omega.reshape(shape),
-        clamped=clamped.reshape(shape),
-        tree_digest=fit.tree_digest,
-        y=y,
-    )
+        if y.shape != probs.shape[:-1]:
+            raise ValueError(f"ratings must be {probs.shape[:-1]}, got {y.shape}")
+    return FuzzyRatingMatrix.from_probs(probs, fit.tree_digest, y)
 
 
 def kaufmann_index(memberships):

@@ -11,7 +11,7 @@ import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +27,6 @@ from .estimation import (
 from .fuzzy import (
     FuzzyRatingMatrix,
     convert_all,
-    convert_table,
     kaufmann_support_table,
 )
 from .tree import ResponseTree, category_probability_table
@@ -59,20 +58,17 @@ def replacement_distribution(h: int, M: int, model: FakingModel) -> np.ndarray:
     """Conditional distribution of the observed category given true category h."""
     if not 1 <= h <= M:
         raise ValueError(f"true category must lie in 1..{M}")
+    sign = 1 if model.direction == "faking-good" else -1
+    room = M - h if sign > 0 else h - 1
     out = np.zeros(M)
-    if model.direction == "faking-good":
-        room = M - h
-    else:
-        room = h - 1
     if room == 0 or model.pi == 0.0:
         out[h - 1] = 1.0
         return out
     out[h - 1] = 1.0 - model.pi
     edges = np.linspace(0.0, 1.0, room + 1)
-    mass = np.diff(betainc(model.gamma, model.delta, edges))
-    for k in range(1, room + 1):
-        cat = h + k if model.direction == "faking-good" else h - k
-        out[cat - 1] = model.pi * mass[k - 1]
+    # the k-th category away from h in the faking direction gets the k-th bin
+    out[h - 1 + sign * np.arange(1, room + 1)] = model.pi * np.diff(
+        betainc(model.gamma, model.delta, edges))
     return out
 
 
@@ -110,16 +106,7 @@ def generate_true_data(I, J, tree: ResponseTree, alpha0, sigma_alpha,
     cdf[..., -1] = 1.0
     u = rng.random((I, J))
     y = (cdf < u[..., None]).sum(axis=-1) + 1
-    c, l, r, w, clamped = convert_table(probs.reshape(-1, tree.M))
-    true_fuzzy = FuzzyRatingMatrix(
-        c=c.reshape(I, J),
-        l=l.reshape(I, J),
-        r=r.reshape(I, J),
-        omega=w.reshape(I, J),
-        clamped=clamped.reshape(I, J),
-        tree_digest=tree.digest(),
-        y=y,
-    )
+    true_fuzzy = FuzzyRatingMatrix.from_probs(probs, tree.digest(), y)
     return GeneratedData(RatingMatrix(y, tree.M), eta, alpha, true_fuzzy)
 
 
@@ -171,6 +158,8 @@ class SimDesign:
             object.__setattr__(self, name, vals)
         if self.sigma_alpha < 0:
             raise ValueError("sigma_alpha must be >= 0")
+        for pi in self.pi_levels:  # FakingModel checks pi, gamma, delta, direction
+            FakingModel(pi, self.gamma, self.delta, self.direction)
 
     @property
     def M(self) -> int:
@@ -197,12 +186,6 @@ class CellResult:
     n_failed: int
 
 
-CSV_HEADER = (
-    "I,J,pi,pa_c,pa_c_sd,pa_spread,pa_spread_sd,"
-    "pa_omega,pa_omega_sd,k,k_sd,n_completed,n_failed"
-)
-
-
 def _g6(x) -> str:
     return f"{x:.6g}"
 
@@ -212,21 +195,11 @@ class SimResult:
     rows: list = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [str(r.I), str(r.J), _g6(r.pi)]
-                    + [
-                        _g6(v)
-                        for v in (
-                            r.pa_c, r.pa_c_sd, r.pa_spread, r.pa_spread_sd,
-                            r.pa_omega, r.pa_omega_sd, r.k, r.k_sd,
-                        )
-                    ]
-                    + [str(r.n_completed), str(r.n_failed)]
-                )
-            )
+        """One line per CellResult, in field order: the counts I, J,
+        n_completed and n_failed as integers, the rest to 6 digits."""
+        lines = [",".join(f.name for f in fields(CellResult))]
+        for v in map(astuple, self.rows):
+            lines.append(",".join([*map(str, v[:2]), *map(_g6, v[2:-2]), *map(str, v[-2:])]))
         return "\n".join(lines) + "\n"
 
 
@@ -271,14 +244,9 @@ def _cell_result(I, J, pi, reps) -> CellResult:
     else:
         means = np.full(4, np.nan)
         sds = np.full(4, np.nan)
-    return CellResult(
-        I=I, J=J, pi=pi,
-        pa_c=means[0], pa_c_sd=sds[0],
-        pa_spread=means[1], pa_spread_sd=sds[1],
-        pa_omega=means[2], pa_omega_sd=sds[2],
-        k=means[3], k_sd=sds[3],
-        n_completed=len(done), n_failed=len(reps) - len(done),
-    )
+    # fields after I, J, pi: each of the four means followed by its sd
+    return CellResult(I, J, pi, *np.column_stack([means, sds]).ravel(),
+                      len(done), len(reps) - len(done))
 
 
 def run_cell(I, J, pi, B, design: SimDesign, cell_index: int = 0) -> CellResult:

@@ -38,7 +38,12 @@ from fuzzyirtree.simulation import (
 )
 from fuzzyirtree.tree import category_probability_table, preset_tree
 
-from test_estimation import agh_marginal_loglik
+from test_estimation import (
+    CASE_STUDY_ALPHA,
+    CASE_STUDY_SPEC,
+    agh_marginal_loglik,
+    case_study_stand_in,
+)
 from test_simulation import centred_pa_values
 
 SEED = 2024
@@ -265,14 +270,25 @@ def test_criterion_10_case_study_cross_check(tmp_path):
                      covariance="unstructured")
     res = fit(data, spec, FitOptions(compute_se=False))
     # published per-item easiness signs, items 1..5 by node (M, A_w, A_s, E)
-    expected_signs = np.sign([
-        [-1.19, -0.40, -1.04, 0.33],
-        [-0.88, 0.53, 0.79, 0.05],
-        [-0.56, 0.25, -0.18, 0.47],
-        [-1.50, 0.46, 0.51, 0.06],
-        [-0.71, 0.05, -0.28, 0.04],
-    ])
+    expected_signs = np.sign(CASE_STUDY_ALPHA)
     got = np.sign(res.alpha_hat)
     print(f"alpha_hat:\n{res.alpha_hat}")
     assert (got == expected_signs).all()
+    assert res.alpha_hat[3, 0] == pytest.approx(-1.50, abs=0.3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_criterion_10_synthetic_stand_in(seed):
+    # criterion 10's design on 1000 raters drawn from the published
+    # easiness, so that its fit runs without the case-study download; signs
+    # are checked where |alpha| >= 0.3, which 1000 raters resolve
+    tree = preset_tree("fig2-6cat")
+    t0 = time.time()
+    res = fit(case_study_stand_in(seed), ModelSpec(tree, *CASE_STUDY_SPEC),
+              FitOptions(compute_se=False))
+    print(f"alpha_hat[3, 0] = {res.alpha_hat[3, 0]:.3f} after {res.iterations} "
+          f"iterations ({time.time() - t0:.1f}s)")
+    assert res.converged
+    clear = np.abs(CASE_STUDY_ALPHA) >= 0.3
+    assert (np.sign(res.alpha_hat) == np.sign(CASE_STUDY_ALPHA))[clear].all()
     assert res.alpha_hat[3, 0] == pytest.approx(-1.50, abs=0.3)

@@ -331,6 +331,17 @@ class TestSimulate:
         assert code == EXIT_DOMAIN
         assert f"design field '{key}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pi", [[0.0, float("nan")], [0.0, 1.5]], ids=["nan", "1.5"])
+    def test_bad_faking_level_runs_nothing(self, pi, tmp_path, capsys):
+        # json writes NaN as a bare literal, which the design reader accepts
+        path = self._design(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "pi": pi}))
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", "--design", str(path), "--out", str(out))
+        assert code == EXIT_DOMAIN
+        assert "pi must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_design_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "design.json"
         path.write_text("[1, 2]")

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from fuzzyirtree.estimation import (
     standard_errors,
 )
 from fuzzyirtree.fuzzy import convert_all
-from fuzzyirtree.tree import preset_tree
+from fuzzyirtree.tree import category_probability_table, preset_tree
 
 DESIGNS = (
     ("common", "common", "scalar"),
@@ -35,6 +36,32 @@ DESIGNS = (
     ("per-node", "per-node", "diagonal"),
     ("per-node", "per-node", "unstructured"),
 )
+
+# Published per-item easiness of the paper's empirical application, items
+# 1..5 by node (M, A_w, A_s, E) of fig2-6cat.
+CASE_STUDY_ALPHA = np.array([
+    [-1.19, -0.40, -1.04, 0.33],
+    [-0.88, 0.53, 0.79, 0.05],
+    [-0.56, 0.25, -0.18, 0.47],
+    [-1.50, 0.46, 0.51, 0.06],
+    [-0.71, 0.05, -0.28, 0.04],
+])
+CASE_STUDY_SPEC = ("per-node", "per-node", "unstructured")
+
+
+def case_study_stand_in(seed, I=1000):
+    """fig2-6cat ratings of I raters from CASE_STUDY_ALPHA and a 4-D trait
+    with sd 0.89 and correlation 0.5: a stand-in for the case-study data."""
+    tree = preset_tree("fig2-6cat")
+    rng = np.random.default_rng(seed)
+    cov = 0.8 * (0.5 * np.eye(tree.N) + 0.5)
+    eta = rng.standard_normal((I, tree.N)) @ np.linalg.cholesky(cov).T
+    probs = category_probability_table(tree, eta[:, None, :], CASE_STUDY_ALPHA[None])
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    y = (cdf < rng.random((I, len(CASE_STUDY_ALPHA)))[..., None]).sum(axis=-1) + 1
+    return RatingMatrix(y, tree.M)
+
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -408,6 +435,42 @@ class TestLaplaceGradient:
         assert again == pytest.approx(value, rel=1e-12)
 
 
+class TestCovarianceMap:
+    @pytest.mark.parametrize("design", DESIGNS, ids="/".join)
+    def test_positive_definite_at_the_bounds(self, design, fig2, rng):
+        # every corner of the box, then draws that put each parameter at a
+        # bound or inside it at random
+        spec = ModelSpec(fig2, *design)
+        lo, hi = np.array(_cov_bounds(spec)).T
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        inside = rng.uniform(lo, hi, size=(2000, lo.size))
+        at_bound = np.where(rng.random(inside.shape) < 0.5, lo, hi)
+        mixed = np.where(rng.random(inside.shape) < 0.5, at_bound, inside)
+        for theta in np.vstack([corners, mixed]):
+            np.linalg.cholesky(_unpack_cov(theta, spec))
+
+    def test_scalar_and_diagonal_are_exp_of_twice_the_log_sd(self, fig2, rng):
+        theta = rng.uniform(-8.0, 5.0, size=fig2.N)
+        np.testing.assert_array_equal(
+            _unpack_cov(theta, ModelSpec(fig2, "per-node", "common", "diagonal")),
+            np.diag(np.exp(2.0 * theta)))
+        np.testing.assert_array_equal(
+            _unpack_cov(theta[:1], ModelSpec(fig2, "per-node", "common", "scalar")),
+            np.exp(2.0 * theta[0]) * np.eye(fig2.N))
+
+    def test_unstructured_reads_correlations_and_sds(self, fig2):
+        # b_ij = 0 off the diagonal is independence; the log sds set the scale
+        spec = ModelSpec(fig2, *CASE_STUDY_SPEC)
+        sd, low, size = spec.cov_layout
+        assert size == 10 and sorted([*sd, *low[np.tril_indices(4, -1)]]) == list(range(10))
+        theta = np.zeros(size)
+        theta[sd] = np.log([0.5, 1.0, 2.0, 3.0])
+        np.testing.assert_allclose(_unpack_cov(theta, spec), np.diag([0.25, 1.0, 4.0, 9.0]))
+        theta[low[1, 0]] = 1.0  # row 1 of L is (1, 1) / sqrt(2): correlation 1/sqrt(2)
+        sigma = _unpack_cov(theta, spec)
+        assert sigma[1, 0] == pytest.approx(0.5 / np.sqrt(2.0), rel=1e-15)  # sds 0.5, 1
+
+
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -417,8 +480,6 @@ def _simulate(I, J, tree, alpha0=-1.75, sigma_alpha=0.25, seed=7):
     rng = np.random.default_rng(seed)
     eta = rng.standard_normal(I)
     alpha = alpha0 + sigma_alpha * rng.standard_normal(J)
-    from fuzzyirtree.tree import category_probability_table
-
     probs = category_probability_table(
         tree,
         np.repeat(eta[:, None, None], tree.N, axis=-1),
@@ -676,6 +737,19 @@ class TestLoadedFit:
         assume(res.se_alpha is not None and np.isfinite(res.se_alpha).all())
         back = fit_from_json(fit_to_json(res), tree)
         fresh, loaded = convert_all(res, tree, data), convert_all(back, tree, data)
+        for name in ("c", "l", "r", "omega", "clamped", "y"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(fresh, name))
+        np.testing.assert_allclose(posterior_modes(back, data), posterior_modes(res, data),
+                                   rtol=0, atol=1e-7)
+        np.testing.assert_allclose(standard_errors(back, data), res.se_alpha,
+                                   rtol=1e-9, atol=0)
+
+    def test_unstructured_case_study_stand_in(self, fig2):
+        data = case_study_stand_in(seed=0)
+        res = fit(data, ModelSpec(fig2, *CASE_STUDY_SPEC), warn=False)
+        assert res.converged and np.isfinite(res.se_alpha).all()
+        back = fit_from_json(fit_to_json(res), fig2)
+        fresh, loaded = convert_all(res, fig2, data), convert_all(back, fig2, data)
         for name in ("c", "l", "r", "omega", "clamped", "y"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(fresh, name))
         np.testing.assert_allclose(posterior_modes(back, data), posterior_modes(res, data),

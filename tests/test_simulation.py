@@ -197,6 +197,20 @@ class TestSimDesign:
         with pytest.raises(ValueError, match="non-empty"):
             SimDesign((), (4,), (0.0,), 1, fig1)
 
+    @pytest.mark.parametrize("bad,match", [
+        ({"pi_levels": (0.0, float("nan"))}, "pi must lie"),
+        ({"pi_levels": (0.0, 1.5)}, "pi must lie"),
+        ({"gamma": 0.0}, "gamma and delta"),
+        ({"direction": "sideways"}, "direction"),
+    ], ids=["pi-nan", "pi-1.5", "gamma", "direction"])
+    def test_faking_parameters_checked_up_front(self, bad, match, fig1):
+        # a level that only a replication would reject must not let the
+        # study start; the pi = 0 cell never builds a FakingModel
+        args = {"I_levels": (10,), "J_levels": (4,), "pi_levels": (0.0,), "B": 1,
+                "tree": fig1, **bad}
+        with pytest.raises(ValueError, match=match):
+            SimDesign(**args)
+
     def test_cells_product_order(self, fig1):
         d = SimDesign((10, 20), (4,), (0.0, 0.5), 1, fig1)
         assert d.cells() == [(10, 4, 0.0), (10, 4, 0.5), (20, 4, 0.0), (20, 4, 0.5)]
