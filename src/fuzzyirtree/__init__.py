@@ -8,8 +8,7 @@ from .fuzzy import (FuzzyRatingMatrix, MultiverseDistribution, Tfn4, convert,
                     convert_all, intensification, kaufmann_index, kaufmann_of,
                     kaufmann_support, membership, multiverse_moments, williams_link)
 from .simulation import (FakingModel, SimDesign, SimResult, generate_true_data,
-                         pa_index, perturb, replacement_distribution, run_cell,
-                         run_study)
+                         pa_index, perturb, replacement_distribution, run_study)
 from .tree import (ResponseTree, category_probabilities, parse_tree_spec, preset_tree,
                    validate_tree)
 

@@ -16,11 +16,13 @@ holds the log standard deviations and R = L L' a correlation matrix whose
 Cholesky factor L has unit-norm rows (identity unless unstructured), so
 Sigma is positive definite for every parameter value. The inner Newton
 stops at gradient INNER_TOL or, failing that within INNER_MAX_ITER steps,
-at a Newton decrement below INNER_DECREMENT_TOL.
+where half the Newton decrement is below INNER_DECREMENT_TOL.
 
 A fit is a `FitResult` with its `ModelSpec`; `fit_from_json` reads a
-`fit_to_json` artifact back as the same object. The easiness `alpha` is a
-(J, `ModelSpec.item_cols`) matrix throughout.
+`fit_to_json` artifact back as the same object. Only `ModelSpec` reads the
+design names. The kernels read the layout from their arrays: the easiness
+`alpha` is (J, 1) or (J, N) and the I x d modes follow Sigma's d of 1 or N,
+and `PseudoData.cell_index` places each record in either matrix.
 """
 from __future__ import annotations
 
@@ -152,10 +154,16 @@ class PseudoData:
     def __len__(self):
         return self.rater.size
 
-    def alpha_index(self, cols: int) -> np.ndarray:
-        """Flat index of each record's entry in a (J, cols) easiness matrix:
-        column 0 when cols is 1, the record's node when cols is N."""
-        return self.item if cols == 1 else self.item * cols + self.node
+    def cell_index(self, owner: np.ndarray, cols: int) -> np.ndarray:
+        """Flat index of each record's cell in a matrix with one row per
+        owner (`item` for the easiness, `rater` for the modes): column 0 when
+        cols is 1, the record's node when cols is N."""
+        if cols == 1:
+            return owner
+        if cols != self.N:
+            raise ValueError(f"the easiness and the trait covariance need 1 or N = {self.N} "
+                             f"columns, got {cols}")
+        return owner * cols + self.node
 
 
 def _cov_inverse(sigma):
@@ -168,36 +176,36 @@ def _cov_inverse(sigma):
     return np.linalg.inv(sigma), 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _solve_modes(alpha, sigma, pseudo: PseudoData, trait_design, eta0=None):
+def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
     """Vectorized per-rater Newton maximization of the joint log-likelihood.
 
-    Returns (sinv, alpha_rec, re_node, eta (I,d), neg_hess (I,d,d), per-rater
-    joint values): the covariance inverse and record layout the modes were
-    solved on, then the solution. A rater has converged when its gradient is
-    below INNER_TOL or, after INNER_MAX_ITER steps, its Newton decrement is
-    below INNER_DECREMENT_TOL; if any rater has not, raises EstimationError.
+    Returns (sinv, flat, eta (I,d), neg_hess (I,d,d), per-rater joint values,
+    p): the covariance inverse and each record's cell in eta that the modes
+    were solved on, the solution, and each record's probability there. A
+    rater has converged when its gradient is below INNER_TOL or, after
+    INNER_MAX_ITER steps, half its Newton decrement is below
+    INNER_DECREMENT_TOL; if any rater has not, raises EstimationError.
     """
     sinv, logdet_sigma = _cov_inverse(sigma)
-    alpha_rec = alpha.ravel()[pseudo.alpha_index(alpha.shape[1])]
-    re_node = pseudo.node if trait_design == "per-node" else np.zeros(len(pseudo), dtype=int)
+    alpha_rec = alpha.ravel()[pseudo.cell_index(pseudo.item, alpha.shape[1])]
     d = sinv.shape[0]
     n_raters = pseudo.I
     z, rater = pseudo.z, pseudo.rater
-    flat = rater * d + re_node
+    flat = pseudo.cell_index(rater, d)
     size = n_raters * d
     eta = np.zeros((n_raters, d)) if eta0 is None else eta0.copy()
     prior_const = -0.5 * d * LOG_2PI - 0.5 * logdet_sigma
     idx = np.arange(d)
 
     def per_rater_value(e):
-        lp = e[rater, re_node] + alpha_rec
+        lp = e.ravel()[flat] + alpha_rec
         ll = np.bincount(rater, weights=z * lp - np.logaddexp(0.0, lp), minlength=n_raters)
         quad = np.einsum("id,de,ie->i", e, sinv, e)
         return ll - 0.5 * quad + prior_const
 
     f_cur = per_rater_value(eta)
     for it in range(INNER_MAX_ITER + 1):
-        p = expit(eta[rater, re_node] + alpha_rec)
+        p = expit(eta.ravel()[flat] + alpha_rec)
         grad = np.bincount(flat, weights=z - p, minlength=size).reshape(n_raters, d)
         grad -= eta @ sinv
         gmax = np.abs(grad).max(axis=1)
@@ -205,13 +213,13 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, trait_design, eta0=None):
         neg_hess = np.broadcast_to(sinv, (n_raters, d, d)).copy()
         neg_hess[:, idx, idx] += w
         if gmax.max() < INNER_TOL:
-            return sinv, alpha_rec, re_node, eta, neg_hess, f_cur
+            return sinv, flat, eta, neg_hess, f_cur, p
         step = np.linalg.solve(neg_hess, grad[..., None])[..., 0]
         if it == INNER_MAX_ITER:
-            # g'H^-1 g is twice the gain in f that the Newton step promises;
+            # half of g'H^-1 g is the gain in f that the Newton step promises;
             # below the line search's 1e-12 resolution in f, the mode is found
-            if np.einsum("id,id->i", grad, step).max() < INNER_DECREMENT_TOL:
-                return sinv, alpha_rec, re_node, eta, neg_hess, f_cur
+            if 0.5 * np.einsum("id,id->i", grad, step).max() < INNER_DECREMENT_TOL:
+                return sinv, flat, eta, neg_hess, f_cur, p
             break
         scale = np.ones(n_raters)
         for _ in range(50):
@@ -230,19 +238,21 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, trait_design, eta0=None):
     )
 
 
-def _expand_modes(eta, spec: ModelSpec) -> np.ndarray:
+def _expand_modes(eta, N: int) -> np.ndarray:
     """I x d modes as the I x N eta of a fit (a common trait on every node)."""
-    return np.repeat(eta, spec.tree.N, axis=1) if spec.trait_design == "common" else eta
+    return np.broadcast_to(eta, (len(eta), N)).copy()
 
 
-def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
-                            eta0=None, gradient=False):
+def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None, gradient=False):
     """Laplace-approximated marginal log-likelihood L, summed over raters.
 
     For each rater: joint value at the mode + (d/2) log(2 pi)
-    - 1/2 log det(-Hessian at the mode). `alpha` is the (J, cols) easiness
-    of `ModelSpec.item_cols`; a (J,) vector is read as (J, 1). `eta0`
-    (I x d) starts the inner Newton from given modes instead of zero.
+    - 1/2 log det(-Hessian at the mode). The layouts come from the array
+    shapes: `alpha` is the (J, 1) easiness of common items or the (J, N) of
+    per-node items, a (J,) vector read as (J, 1); the d x d `sigma` has d = 1
+    for one trait shared by all nodes or d = N for a trait per node. Any
+    other shape is a ValueError. `eta0` (I x d) starts the inner Newton from
+    given modes instead of zero.
 
     With `gradient=True`, returns (L, dL/dalpha shaped like alpha, G, modes)
     where G is the symmetric d x d matrix with dL = tr(G dSigma) and modes
@@ -252,9 +262,7 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
         raise TypeError("pseudo must be a PseudoData (see PseudoData.from_ratings)")
     shape = np.shape(alpha)
     alpha = np.asarray(alpha, dtype=float).reshape(pseudo.J, -1)
-    sinv, alpha_rec, re_node, eta, neg_hess, values = _solve_modes(
-        alpha, sigma, pseudo, trait_design, eta0
-    )
+    sinv, flat, eta, neg_hess, values, p = _solve_modes(alpha, sigma, pseudo, eta0)
     d = sinv.shape[0]
     if d == 1:
         logdet_h = np.log(neg_hess[:, 0, 0])
@@ -269,17 +277,16 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="common", *,
     # node n and v_i = A_i (diag(A_i) * t_i), the derivative of
     # -1/2 log det H_i through W_i and through the moving mode is
     # -1/2 A_i[r,r] u + 1/2 v_i[r] s per record.
-    rater, n_raters = pseudo.rater, pseudo.I
-    p = expit(eta[rater, re_node] + alpha_rec)
+    n_raters = pseudo.I
     s = p * (1.0 - p)
     u = s * (1.0 - 2.0 * p)
     a_inv = np.linalg.inv(neg_hess)
     a_diag = np.diagonal(a_inv, axis1=1, axis2=2)
-    t = np.bincount(rater * d + re_node, weights=u, minlength=n_raters * d)
+    t = np.bincount(flat, weights=u, minlength=n_raters * d)
     v = np.einsum("ide,ie->id", a_inv, a_diag * t.reshape(n_raters, d))
-    per_rec = (pseudo.z - p) - 0.5 * a_diag[rater, re_node] * u + 0.5 * v[rater, re_node] * s
+    per_rec = (pseudo.z - p) - 0.5 * a_diag.ravel()[flat] * u + 0.5 * v.ravel()[flat] * s
     d_alpha = np.bincount(
-        pseudo.alpha_index(alpha.shape[1]), weights=per_rec, minlength=alpha.size
+        pseudo.cell_index(pseudo.item, alpha.shape[1]), weights=per_rec, minlength=alpha.size
     ).reshape(shape)
     # G = 1/2 sum_i [-Q + Q eta eta' Q + Q A_i Q - 1/2 Q (v eta' + eta v') Q]
     vt_eta = v.T @ eta
@@ -369,7 +376,7 @@ def _pack(alpha_params, cov_params):
 
 def _start_values(pseudo: PseudoData, spec: ModelSpec) -> np.ndarray:
     """Empirical-logit starting values for the fixed effects, identity cov."""
-    flat = pseudo.alpha_index(spec.item_cols)
+    flat = pseudo.cell_index(pseudo.item, spec.item_cols)
     size = pseudo.J * spec.item_cols
     num = np.bincount(flat, weights=pseudo.z, minlength=size)
     den = np.bincount(flat, minlength=size)
@@ -394,21 +401,20 @@ def _separation_warnings(pseudo: PseudoData, tree: ResponseTree) -> list:
     return out
 
 
-def _make_objective(pseudo: PseudoData, spec: ModelSpec, J: int):
+def _make_objective(pseudo: PseudoData, spec: ModelSpec):
     """The Laplace objective of a fit: packed x -> (-L, -dL/dx).
 
     The closure starts each inner Newton from the modes of its previous
     evaluation and keeps them in `objective.modes`; `objective.evaluations`
     counts its calls. Make one per fit: the closure is not shared.
     """
-    n_alpha = J * spec.item_cols
+    n_alpha = pseudo.J * spec.item_cols
 
     def objective(x):
-        alpha = x[:n_alpha].reshape(J, spec.item_cols)
+        alpha = x[:n_alpha].reshape(pseudo.J, spec.item_cols)
         sigma, chain = _cov_map(x[n_alpha:], spec)
         value, d_alpha, g_sigma, eta = laplace_marginal_loglik(
-            alpha, sigma, pseudo, trait_design=spec.trait_design,
-            eta0=objective.modes, gradient=True,
+            alpha, sigma, pseudo, eta0=objective.modes, gradient=True
         )
         objective.modes = eta
         objective.evaluations += 1
@@ -436,7 +442,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None, 
     x0 = np.asarray(x0, dtype=float)
     if x0.size != len(bounds):
         raise ValueError(f"start vector must have {len(bounds)} entries")
-    objective = _make_objective(pseudo, spec, data.J)
+    objective = _make_objective(pseudo, spec)
     res = minimize(
         objective,
         x0,
@@ -461,7 +467,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None, 
     result = FitResult(
         alpha_hat=x[:n_alpha].reshape(data.J, spec.item_cols),
         sigma_hat=_unpack_cov(x[n_alpha:], spec),
-        eta_hat=_expand_modes(objective.modes, spec),
+        eta_hat=_expand_modes(objective.modes, tree.N),
         log_marginal_lik=-nll,
         se_alpha=None,
         converged=converged,
@@ -488,8 +494,8 @@ def posterior_modes(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     """Per-rater joint-likelihood maximizers at the fitted parameters, I x N."""
     spec = fitres.model
     pseudo = PseudoData.from_ratings(data, spec.tree)
-    eta = _solve_modes(fitres.alpha_hat, fitres.sigma_hat, pseudo, spec.trait_design)[3]
-    return _expand_modes(eta, spec)
+    eta = _solve_modes(fitres.alpha_hat, fitres.sigma_hat, pseudo)[2]
+    return _expand_modes(eta, spec.tree.N)
 
 
 def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
@@ -505,7 +511,7 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     x = fitres.x
     if x is None:
         raise ValueError("standard errors need the packed optimum of a fit")
-    objective = _make_objective(pseudo, spec, data.J)
+    objective = _make_objective(pseudo, spec)
     modes = fitres.eta_hat[:, : spec.re_dim]
 
     def grad(v):

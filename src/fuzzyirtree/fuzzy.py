@@ -261,12 +261,12 @@ def kaufmann_index(memberships):
     return float(k) if k.ndim == 0 else k
 
 
-def kaufmann_of(f: Tfn4, M: int, points: int = DEFAULT_GRID_POINTS) -> float:
+def kaufmann_of(f: Tfn4, M: int) -> float:
     """Kaufmann index of a Tfn4 sampled on an even grid over [1, M]."""
-    return kaufmann_index(membership(f, np.linspace(1.0, float(M), points)))
+    return kaufmann_index(membership(f, np.linspace(1.0, float(M), DEFAULT_GRID_POINTS)))
 
 
-def kaufmann_support_table(c, l, r, omega, points: int = DEFAULT_GRID_POINTS):
+def kaufmann_support_table(c, l, r, omega):
     """Kaufmann index of each Tfn4 sampled on an even grid over its support.
 
     Unlike kaufmann_of, the evaluation universe is the fuzzy number's own
@@ -274,12 +274,12 @@ def kaufmann_support_table(c, l, r, omega, points: int = DEFAULT_GRID_POINTS):
     memberships outside it; a degenerate number scores 0.
     """
     c, l, r, w = (np.asarray(v, float).reshape(-1, 1) for v in (c, l, r, omega))
-    grid = l + (r - l) * np.linspace(0.0, 1.0, points)
+    grid = l + (r - l) * np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     k = kaufmann_index(_membership_rows(grid, c, l, r, w))
     k[l[:, 0] == r[:, 0]] = 0.0
     return k
 
 
-def kaufmann_support(f: Tfn4, points: int = DEFAULT_GRID_POINTS) -> float:
+def kaufmann_support(f: Tfn4) -> float:
     """kaufmann_support_table of one Tfn4."""
-    return float(kaufmann_support_table(f.c, f.l, f.r, f.omega, points)[0])
+    return float(kaufmann_support_table(f.c, f.l, f.r, f.omega)[0])

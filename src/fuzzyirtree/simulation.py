@@ -249,13 +249,6 @@ def _cell_result(I, J, pi, reps) -> CellResult:
                       len(done), len(reps) - len(done))
 
 
-def run_cell(I, J, pi, B, design: SimDesign, cell_index: int = 0) -> CellResult:
-    """B replications of generate -> perturb -> fit -> convert -> score."""
-    return _cell_result(
-        I, J, pi, [_run_replication(I, J, pi, design, cell_index, b) for b in range(B)]
-    )
-
-
 def run_study(design: SimDesign, threads: int = 1) -> SimResult:
     """One CellResult per cell of the factorial design, in product order.
 

@@ -103,11 +103,11 @@ class ValidationReport:
         return "tree is invalid:\n" + "\n".join(f"  - {e}" for e in self.errors)
 
 
-def validate_tree(tree: ResponseTree, draws: int = 100) -> ValidationReport:
+def validate_tree(tree: ResponseTree) -> ValidationReport:
     """Structural checks plus a Monte-Carlo sum-to-one check.
 
-    Runs `draws` random parameter draws and records the largest deviation
-    of the category-probability sum from 1.
+    Runs 100 random parameter draws and records the largest deviation of the
+    category-probability sum from 1.
     """
     errors = []
     on = ~np.isnan(tree.map)
@@ -122,8 +122,8 @@ def validate_tree(tree: ResponseTree, draws: int = 100) -> ValidationReport:
                     f"duplicate category path: categories {m1 + 1} and {m2 + 1}"
                 )
     rng = np.random.default_rng(20240517)
-    eta = rng.normal(0.0, 1.5, size=(draws, tree.N))
-    alpha = rng.normal(0.0, 1.5, size=(draws, tree.N))
+    eta = rng.normal(0.0, 1.5, size=(100, tree.N))
+    alpha = rng.normal(0.0, 1.5, size=(100, tree.N))
     sums = category_probability_table(tree, eta, alpha).sum(axis=-1)
     dev = float(np.max(np.abs(sums - 1.0)))
     if dev > 1e-9:

@@ -1,6 +1,10 @@
+import inspect
 import types
 
+import pytest
+
 import fuzzyirtree
+from fuzzyirtree import fuzzy
 
 # Every public name the package exports. Adding or removing one is an API
 # change: update this list in the same change, on purpose.
@@ -37,7 +41,6 @@ PUBLIC_API = [
     "posterior_modes",
     "preset_tree",
     "replacement_distribution",
-    "run_cell",
     "run_study",
     "standard_errors",
     "validate_tree",
@@ -51,3 +54,19 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == sorted(PUBLIC_API)
+
+
+# Parameters of entry points whose unused knobs were removed; a knob that
+# comes back has to change this table too.
+PARAMETERS = [
+    (fuzzyirtree.laplace_marginal_loglik, ["alpha", "sigma", "pseudo", "eta0", "gradient"]),
+    (fuzzyirtree.kaufmann_of, ["f", "M"]),
+    (fuzzy.kaufmann_support_table, ["c", "l", "r", "omega"]),
+    (fuzzyirtree.kaufmann_support, ["f"]),
+    (fuzzyirtree.validate_tree, ["tree"]),
+]
+
+
+@pytest.mark.parametrize("func,names", PARAMETERS, ids=[f.__name__ for f, _ in PARAMETERS])
+def test_trimmed_signatures_are_pinned(func, names):
+    assert list(inspect.signature(func).parameters) == names

@@ -158,9 +158,7 @@ def neg_laplace_value(x, pseudo, spec, J):
     alpha = x[:n_alpha]
     if spec.item_design == "per-node":
         alpha = alpha.reshape(J, spec.tree.N)
-    return -laplace_marginal_loglik(
-        alpha, _unpack_cov(x[n_alpha:], spec), pseudo, trait_design=spec.trait_design
-    )
+    return -laplace_marginal_loglik(alpha, _unpack_cov(x[n_alpha:], spec), pseudo)
 
 
 def value_hessian_se(fitres, data):
@@ -306,9 +304,7 @@ class TestJointLoglik:
         alpha = rng.normal(size=3 if item_design == "common" else (3, fig1.N))
         a = rng.normal(scale=0.3, size=(d, d))
         sigma = 0.8 * np.eye(d) + a @ a.T
-        value, _, _, modes = laplace_marginal_loglik(
-            alpha, sigma, pseudo, trait_design=trait_design, gradient=True
-        )
+        value, _, _, modes = laplace_marginal_loglik(alpha, sigma, pseudo, gradient=True)
         records = _pseudo_records(y, fig1)
         want = 0.0
         for i in range(6):
@@ -404,7 +400,7 @@ class TestLaplaceGradient:
         spec = ModelSpec(tree, *design)
         x0 = _start_values(pseudo, spec)
         x = x0 + rng.normal(scale=0.3, size=x0.size)
-        value, grad = _make_objective(pseudo, spec, J)(x)
+        value, grad = _make_objective(pseudo, spec)(x)
         assert value == pytest.approx(neg_laplace_value(x, pseudo, spec, J), rel=1e-12)
         fd = np.empty(x.size)
         for k in range(x.size):
@@ -423,16 +419,23 @@ class TestLaplaceGradient:
         a = rng.normal(scale=0.3, size=(4, 4))
         sigma = np.eye(4) + a @ a.T
         value, d_alpha, g_sigma, modes = laplace_marginal_loglik(
-            alpha, sigma, pseudo, trait_design="per-node", gradient=True
+            alpha, sigma, pseudo, gradient=True
         )
-        assert value == laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="per-node")
+        assert value == laplace_marginal_loglik(alpha, sigma, pseudo)
         assert d_alpha.shape == alpha.shape
         np.testing.assert_array_equal(g_sigma, g_sigma.T)
         assert modes.shape == (20, 4)
         # warm-starting the inner Newton at the modes gives the same value
-        again = laplace_marginal_loglik(alpha, sigma, pseudo, trait_design="per-node",
-                                        eta0=modes)
+        again = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=modes)
         assert again == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha_cols,d", [(1, 2), (3, 1)], ids=["sigma-2x2", "alpha-3-cols"])
+    def test_layout_mismatch_is_a_domain_error(self, alpha_cols, d, fig1, rng):
+        # on a 4-node tree, alpha needs 1 or 4 columns and sigma d = 1 or 4
+        data = RatingMatrix(rng.integers(1, 6, size=(8, 3)), 5)
+        pseudo = PseudoData.from_ratings(data, fig1)
+        with pytest.raises(ValueError, match="1 or N = 4 columns, got"):
+            laplace_marginal_loglik(np.zeros((3, alpha_cols)), np.eye(d), pseudo)
 
 
 class TestCovarianceMap:
@@ -511,9 +514,7 @@ class TestFit:
 
         pseudo = PseudoData.from_ratings(data, fig1)
         x0 = _start_values(pseudo, spec)
-        start_ll = laplace_marginal_loglik(
-            x0[: data.J], np.eye(1), pseudo, trait_design="common"
-        )
+        start_ll = laplace_marginal_loglik(x0[: data.J], np.eye(1), pseudo)
         assert res.log_marginal_lik >= start_ll
 
     def test_rough_recovery(self, fitted):
@@ -596,6 +597,18 @@ class TestFit:
         assert res.alpha_hat.shape == (4, 1)
         assert res.sigma_hat.shape == (4, 4)
         assert res.eta_hat.shape == (60, 4)
+
+    def test_unstructured_fit_stalled_on_rounding_noise_converges(self, fig1):
+        # rater 0 ends its 100 inner Newton steps at gradient 9.5e-7 with the
+        # line search rejecting every step on f's rounding noise (Sigma has
+        # correlation 0.991); half its Newton decrement, the gain the step
+        # promises, is below the 1e-12 resolution, so its mode is accepted
+        data, _ = _simulate(60, 4, fig1, seed=3)
+        spec = ModelSpec(fig1, trait_design="per-node", item_design="common",
+                         covariance="unstructured")
+        res = fit(data, spec, FitOptions(compute_se=False))
+        assert res.converged
+        assert res.sigma_hat.shape == (4, 4)
 
     def test_common_trait_forces_scalar_cov(self, fig1):
         with pytest.raises(ValueError, match="scalar"):

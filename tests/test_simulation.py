@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from fuzzyirtree.simulation import (
     pa_values,
     perturb,
     replacement_distribution,
-    run_cell,
     run_study,
 )
 from fuzzyirtree.estimation import EstimationError, RatingMatrix
@@ -228,14 +228,14 @@ def tiny_design():
 
 class TestRunCellAndStudy:
     def test_single_replication_has_zero_sd(self, tiny_design):
-        row = run_cell(25, 4, 0.0, 1, tiny_design, cell_index=0)
-        assert row.pa_c_sd == 0.0
-        assert row.k_sd == 0.0
-        assert row.n_completed + row.n_failed == 1
+        for row in run_study(dataclasses.replace(tiny_design, B=1)).rows:
+            assert row.pa_c_sd == 0.0
+            assert row.k_sd == 0.0
+            assert row.n_completed + row.n_failed == 1
 
     def test_thread_count_does_not_change_results(self, tiny_design):
-        serial = run_cell(25, 4, 0.5, 3, tiny_design, cell_index=1)
-        assert run_study(tiny_design, threads=3).rows[1] == serial
+        serial = run_study(tiny_design, threads=1).rows
+        assert run_study(tiny_design, threads=3).rows == serial
 
     def test_csv_bytes_do_not_depend_on_worker_count(self, tiny_design):
         assert tiny_design.pi_levels[-1] > 0
