@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import operator
 import sys
-import warnings
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .estimation import (
     FitOptions,
     ModelSpec,
     RatingMatrix,
+    _json_field,
     fit,
     fit_from_json,
     fit_to_json,
@@ -102,11 +103,9 @@ def cmd_fit(args) -> int:
         covariance="diagonal" if args.cov == "diag" else args.cov,
     )
     opts = FitOptions(max_iter=args.max_iter, tol=args.tol, compute_se=not args.no_se)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fit(data, spec, opts)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    result = fit(data, spec, opts)
+    for note in result.warnings:
+        print(f"warning: {note}", file=sys.stderr)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(fit_to_json(result) + "\n")
     print(f"log-marginal-likelihood: {_g6(result.log_marginal_lik)}")
@@ -135,26 +134,14 @@ def cmd_convert(args) -> int:
     with open(args.fit, encoding="utf-8") as fh:
         fitres = fit_from_json(fh.read(), t)
     ratings = _read_ratings(args.data, t.M) if args.data else None
-    fz = fuzzy.convert_all(fitres, t, ratings)
+    fz = fuzzy.convert_all(fitres, ratings)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fuzzy_csv(fz))
     print(f"wrote {fz.shape[0] * fz.shape[1]} fuzzy ratings to {args.out}")
     return EXIT_OK
 
 
-def _design_value(doc: dict, key: str, convert, what: str):
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"design field '{key}' must be {what}, got {doc[key]!r}") from None
-
-
-def _levels(convert):
-    def levels(value):
-        if not isinstance(value, list):
-            raise TypeError
-        return tuple(convert(v) for v in value)
-    return levels
+_design_value = functools.partial(_json_field, owner="design")
 
 
 def _design_from_json(doc: dict) -> simulation.SimDesign:
@@ -175,10 +162,14 @@ def _design_from_json(doc: dict) -> simulation.SimDesign:
                 for k in ("alpha0", "sigma_alpha", "gamma", "delta") if k in doc}
     if "direction" in doc:
         optional["direction"] = doc["direction"]
+
+    def levels(key, convert, what):
+        return _design_value(doc, key, lambda v: tuple(map(convert, v)), what, list)
+
     return simulation.SimDesign(
-        I_levels=_design_value(doc, "I", _levels(operator.index), "a list of integers"),
-        J_levels=_design_value(doc, "J", _levels(operator.index), "a list of integers"),
-        pi_levels=_design_value(doc, "pi", _levels(float), "a list of numbers"),
+        I_levels=levels("I", operator.index, "a list of integers"),
+        J_levels=levels("J", operator.index, "a list of integers"),
+        pi_levels=levels("pi", float, "a list of numbers"),
         B=_design_value(doc, "B", int, "an integer"),
         tree=t,
         seed=_design_value(doc, "seed", int, "an integer"),

@@ -18,16 +18,19 @@ Sigma is positive definite for every parameter value. The inner Newton
 stops at gradient INNER_TOL or, failing that within INNER_MAX_ITER steps,
 where half the Newton decrement is below INNER_DECREMENT_TOL.
 
-A fit is a `FitResult` with its `ModelSpec`; `fit_from_json` reads a
-`fit_to_json` artifact back as the same object. Only `ModelSpec` reads the
-design names. The kernels read the layout from their arrays: the easiness
-`alpha` is (J, 1) or (J, N) and the I x d modes follow Sigma's d of 1 or N,
-and `PseudoData.cell_index` places each record in either matrix.
+A fit reports only through its `FitResult`, which holds its `ModelSpec`
+and its notes; `fit_from_json` reads a `fit_to_json` artifact back as the
+same object. Only `ModelSpec` reads the design names. The kernels read the
+layout from their arrays: the easiness `alpha` is (J, 1) or (J, N) and the
+I x d modes follow Sigma's d of 1 or N, and `PseudoData.cell_index` places
+each record in either matrix.
 """
 from __future__ import annotations
 
+import functools
 import json
-import warnings as _warnings
+import operator
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -425,12 +428,11 @@ def _make_objective(pseudo: PseudoData, spec: ModelSpec):
     return objective
 
 
-def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None, *,
-        warn: bool = True) -> FitResult:
+def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) -> FitResult:
     """Maximize the Laplace marginal likelihood over fixed effects and covariance.
 
-    Separation and non-convergence notes always go to `FitResult.warnings`;
-    with `warn=True` they are also issued as `UserWarning`s.
+    Separation, non-convergence and NaN-SE notes go to `FitResult.warnings`;
+    nothing is issued as a `UserWarning`.
     """
     options = options or FitOptions()
     tree = spec.tree
@@ -482,11 +484,10 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None, 
             "message": str(res.message),
         },
     )
-    if warn:
-        for w in notes:
-            _warnings.warn(w, stacklevel=2)
     if options.compute_se and converged:
         result.se_alpha = standard_errors(result, data)
+        if np.isnan(result.se_alpha).any():
+            result.warnings.append("observed information is not invertible; SEs set to NaN")
     return result
 
 
@@ -503,7 +504,9 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
 
     The information is the Jacobian of the analytic gradient of the Laplace
     objective at the optimum, by central differences (relative step
-    `SE_REL_STEP`, 2n evaluations for n parameters), symmetrized.
+    `SE_REL_STEP`, 2n evaluations for n parameters), symmetrized. Where it
+    is not invertible or gives a negative variance, every SE is NaN, and
+    `fit` says so in `FitResult.warnings`.
     """
     spec = fitres.model
     pseudo = PseudoData.from_ratings(data, spec.tree)
@@ -535,7 +538,6 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
             raise np.linalg.LinAlgError("negative variance estimate")
         se = np.sqrt(diag)
     except np.linalg.LinAlgError:
-        _warnings.warn("observed information is not invertible; SEs set to NaN")
         se = np.full(n_alpha, np.nan)
     return se.reshape(fitres.alpha_hat.shape)
 
@@ -568,6 +570,22 @@ def fit_to_json(fitres: FitResult) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _json_field(doc: dict, key: str, convert, what: str, kind=object,
+                owner: str = "fit artifact"):
+    """`convert(doc[key])` of a value of Python type `kind`; a missing key,
+    another type or a TypeError or ValueError of `convert` names the field."""
+    if key not in doc:
+        raise ValueError(f"{owner} is missing field '{key}'")
+    value = doc[key]
+    try:
+        if not isinstance(value, kind):
+            raise TypeError
+        return convert(value)
+    except (TypeError, ValueError):
+        msg = f"{owner} field '{key}' must be {what}, got {reprlib.repr(value)}"
+        raise ValueError(msg) from None
+
+
 def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     """Read a `fit_to_json` artifact back as the FitResult of its fit.
 
@@ -581,38 +599,48 @@ def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("fit artifact must be a JSON object")
-    for key in ("alpha", "alpha_shape", "eta", "sigma_cholesky", "loglik",
-                "converged", "iterations", "model", "tree_digest"):
-        if key not in doc:
-            raise ValueError(f"fit artifact is missing field '{key}'")
-    if doc["tree_digest"] != tree.digest():
+    numbers = functools.partial(np.array, dtype=float)  # null reads as NaN
+    f = {key: _json_field(doc, key, *how) for key, *how in (
+        ("alpha", numbers, "a list of numbers", list),
+        ("alpha_shape", lambda v: tuple(map(operator.index, v)), "a list of integers", list),
+        ("eta", numbers, "a list of lists of numbers", list),
+        ("sigma_cholesky", numbers, "a list of numbers", list),
+        ("loglik", float, "a number", (int, float)),
+        ("converged", bool, "true or false", bool),
+        ("iterations", operator.index, "an integer"),
+        ("model", dict, "an object", dict),
+        ("tree_digest", str, "a string", str),
+        ("se", lambda v: None if v is None else numbers(v), "null or a list of numbers"),
+        ("warnings", list, "a list of notes", list),
+    ) if key in doc or key not in ("se", "warnings")}  # the last two are optional
+    if f["tree_digest"] != tree.digest():
         raise ValueError("tree digest mismatch: fit was produced with a different tree")
-    model = doc["model"]
+    model = f["model"]
     for key in ("trait_design", "item_design", "covariance", "M", "N"):
-        if not isinstance(model, dict) or key not in model:
+        if key not in model:
             raise ValueError(f"fit artifact: model is missing field '{key}'")
     spec = ModelSpec(tree, model["trait_design"], model["item_design"], model["covariance"])
-    alpha = np.array(doc["alpha"], dtype=float).reshape(doc["alpha_shape"])
-    eta = np.array(doc["eta"], dtype=float)
-    if alpha.shape[1:] != (spec.item_cols,) or eta.shape[1:] != (tree.N,):
+    alpha = f["alpha"].reshape(f["alpha_shape"])
+    if alpha.shape[1:] != (spec.item_cols,) or f["eta"].shape[1:] != (tree.N,):
         raise ValueError(f"fit artifact: alpha_shape must be [J, {spec.item_cols}] for "
                          f"{spec.item_design} items and eta an I x {tree.N} matrix")
+    if not all(np.isfinite(f[key]).all() for key in ("alpha", "eta", "sigma_cholesky")):
+        raise ValueError("fit artifact: alpha, eta and sigma_cholesky must be finite")
     low = np.zeros((spec.re_dim, spec.re_dim))
-    low[np.tril_indices(spec.re_dim)] = doc["sigma_cholesky"]
+    low[np.tril_indices(spec.re_dim)] = f["sigma_cholesky"]
     if not (np.diag(low) > 0).all():
         raise ValueError("fit artifact: sigma_cholesky needs a positive diagonal")
     theta = _cov_params(low, spec)
-    se = doc.get("se")
     return FitResult(
         alpha_hat=alpha,
         sigma_hat=_unpack_cov(theta, spec),
-        eta_hat=eta,
-        log_marginal_lik=float(doc["loglik"]),
-        se_alpha=None if se is None else np.array(se, dtype=float).reshape(alpha.shape),
-        converged=bool(doc["converged"]),
-        iterations=int(doc["iterations"]),
+        eta_hat=f["eta"],
+        log_marginal_lik=f["loglik"],
+        se_alpha=None if f.get("se") is None else f["se"].reshape(alpha.shape),
+        converged=f["converged"],
+        iterations=f["iterations"],
         model=spec,
-        tree_digest=doc["tree_digest"],
-        warnings=list(doc.get("warnings", [])),
+        tree_digest=f["tree_digest"],
+        warnings=f.get("warnings", []),
         x=_pack(alpha, theta),
     )

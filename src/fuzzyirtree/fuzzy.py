@@ -11,7 +11,8 @@ the Kaufmann reduction `kaufmann_index` (along the last axis, with
 `kaufmann_support_table` scoring each number on its own support).
 `multiverse_moments`, `williams_link`, `convert`, `membership`,
 `kaufmann_of` and `kaufmann_support` are one-cell wrappers over them;
-`convert_all` applies `convert_table` to a fitted model.
+`convert_all` applies `convert_table` to a `FitResult`, with the tree the
+model was fit with.
 """
 from __future__ import annotations
 
@@ -72,10 +73,6 @@ class Tfn4:
     @property
     def degenerate(self) -> bool:
         return self.l == self.c == self.r
-
-    @property
-    def spread(self) -> float:
-        return self.r - self.l
 
 
 def _membership_rows(grid, c, l, r, w):
@@ -196,15 +193,14 @@ class FuzzyRatingMatrix:
     r: np.ndarray
     omega: np.ndarray
     clamped: np.ndarray
-    tree_digest: str
     y: np.ndarray | None = None
 
     @classmethod
-    def from_probs(cls, probs, tree_digest: str, y=None) -> "FuzzyRatingMatrix":
+    def from_probs(cls, probs, y=None) -> "FuzzyRatingMatrix":
         """`convert_table` of each cell of an (I, J, M) array of distributions."""
         shape = probs.shape[:-1]
         cols = convert_table(probs.reshape(-1, probs.shape[-1]))
-        return cls(*(v.reshape(shape) for v in cols), tree_digest=tree_digest, y=y)
+        return cls(*(v.reshape(shape) for v in cols), y=y)
 
     @property
     def shape(self):
@@ -227,26 +223,20 @@ class FuzzyRatingMatrix:
         return rating, f
 
 
-def convert_all(fit, tree, ratings=None) -> FuzzyRatingMatrix:
-    """Convert every rater-item cell of a fitted model.
+def convert_all(fit, ratings=None) -> FuzzyRatingMatrix:
+    """Convert every rater-item cell of a `FitResult` with `fit.model.tree`.
 
-    `fit` needs eta_hat (I x N), alpha_hat (J x N or J x 1, which broadcasts
-    over the nodes) and tree_digest; the digest must match `tree` so the
-    conversion uses the same structure the model was fit with.
+    eta_hat is I x N and alpha_hat J x N or J x 1 (broadcast over the nodes);
+    `ratings`, a `RatingMatrix` of the same I x J, fills the crisp `y` column.
     """
     from .tree import category_probability_table
 
-    if fit.tree_digest != tree.digest():
-        raise ValueError("tree digest mismatch: fit was produced with a different tree")
-    eta = np.asarray(fit.eta_hat, dtype=float)
-    alpha = np.asarray(fit.alpha_hat, dtype=float)
-    probs = category_probability_table(tree, eta[:, None, :], alpha[None, :, :])
-    y = None
-    if ratings is not None:
-        y = np.asarray(ratings.values if hasattr(ratings, "values") else ratings)
-        if y.shape != probs.shape[:-1]:
-            raise ValueError(f"ratings must be {probs.shape[:-1]}, got {y.shape}")
-    return FuzzyRatingMatrix.from_probs(probs, fit.tree_digest, y)
+    probs = category_probability_table(fit.model.tree, fit.eta_hat[:, None, :],
+                                       fit.alpha_hat[None, :, :])
+    y = None if ratings is None else ratings.values
+    if y is not None and y.shape != probs.shape[:-1]:
+        raise ValueError(f"ratings must be {probs.shape[:-1]}, got {y.shape}")
+    return FuzzyRatingMatrix.from_probs(probs, y)
 
 
 def kaufmann_index(memberships):
@@ -275,9 +265,7 @@ def kaufmann_support_table(c, l, r, omega):
     """
     c, l, r, w = (np.asarray(v, float).reshape(-1, 1) for v in (c, l, r, omega))
     grid = l + (r - l) * np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    k = kaufmann_index(_membership_rows(grid, c, l, r, w))
-    k[l[:, 0] == r[:, 0]] = 0.0
-    return k
+    return kaufmann_index(_membership_rows(grid, c, l, r, w))
 
 
 def kaufmann_support(f: Tfn4) -> float:

@@ -72,16 +72,19 @@ def replacement_distribution(h: int, M: int, model: FakingModel) -> np.ndarray:
     return out
 
 
+def _draw_categories(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A category in 1..M per distribution on the last axis, by inverse CDF."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    u = rng.random(probs.shape[:-1])
+    return (cdf < u[..., None]).sum(axis=-1) + 1
+
+
 def perturb(Y: RatingMatrix, model: FakingModel, rng: np.random.Generator) -> RatingMatrix:
     """Independently resample each cell from its replacement distribution."""
     M = Y.M
-    cdf = np.empty((M, M))
-    for h in range(1, M + 1):
-        cdf[h - 1] = np.cumsum(replacement_distribution(h, M, model))
-    cdf[:, -1] = 1.0
-    u = rng.random(Y.values.shape)
-    new = (cdf[Y.values - 1] < u[..., None]).sum(axis=-1) + 1
-    return RatingMatrix(new, M)
+    table = np.array([replacement_distribution(h, M, model) for h in range(1, M + 1)])
+    return RatingMatrix(_draw_categories(table[Y.values - 1], rng), M)
 
 
 class GeneratedData(NamedTuple):
@@ -102,11 +105,8 @@ def generate_true_data(I, J, tree: ResponseTree, alpha0, sigma_alpha,
     eta = np.repeat(eta_s[:, None], tree.N, axis=1)
     alpha = np.repeat(alpha_s[:, None], tree.N, axis=1)
     probs = category_probability_table(tree, eta[:, None, :], alpha[None, :, :])
-    cdf = np.cumsum(probs, axis=-1)
-    cdf[..., -1] = 1.0
-    u = rng.random((I, J))
-    y = (cdf < u[..., None]).sum(axis=-1) + 1
-    true_fuzzy = FuzzyRatingMatrix.from_probs(probs, tree.digest(), y)
+    y = _draw_categories(probs, rng)
+    true_fuzzy = FuzzyRatingMatrix.from_probs(probs, y)
     return GeneratedData(RatingMatrix(y, tree.M), eta, alpha, true_fuzzy)
 
 
@@ -160,10 +160,6 @@ class SimDesign:
             raise ValueError("sigma_alpha must be >= 0")
         for pi in self.pi_levels:  # FakingModel checks pi, gamma, delta, direction
             FakingModel(pi, self.gamma, self.delta, self.direction)
-
-    @property
-    def M(self) -> int:
-        return self.tree.M
 
     def cells(self):
         return list(itertools.product(self.I_levels, self.J_levels, self.pi_levels))
@@ -220,12 +216,12 @@ def _run_replication(I, J, pi, design: SimDesign, cell_index: int, b: int):
         y = perturb(y, FakingModel(pi, design.gamma, design.delta, design.direction), rng)
     spec = ModelSpec(tree, trait_design="common", item_design="common", covariance="scalar")
     try:
-        res = fit(y, spec, FitOptions(compute_se=False), warn=False)
+        res = fit(y, spec, FitOptions(compute_se=False))
     except EstimationError:
         return None
     if not res.converged:
         return None
-    est = convert_all(res, tree)
+    est = convert_all(res)
     tf = gen.true_fuzzy
     pa = pa_values([est.c, est.spread, est.omega], [tf.c, tf.spread, tf.omega])
     # fuzziness is judged on each number's own support so that the score is

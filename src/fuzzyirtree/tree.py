@@ -27,7 +27,6 @@ class ResponseTree:
     N: int
     map: np.ndarray
     node_labels: tuple
-    category_labels: tuple | None = None
 
     def __post_init__(self):
         m = np.array(self.map, dtype=float)
@@ -43,10 +42,6 @@ class ResponseTree:
         m.setflags(write=False)
         object.__setattr__(self, "map", m)
         object.__setattr__(self, "node_labels", tuple(self.node_labels))
-        if self.category_labels is not None:
-            if len(self.category_labels) != self.M:
-                raise ValueError("need one label per category")
-            object.__setattr__(self, "category_labels", tuple(self.category_labels))
 
     def spec_text(self) -> str:
         """Canonical JSON serialization (NA rendered as null)."""

@@ -6,7 +6,6 @@ criterion; each test also prints the measured quantities.
 import json
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -103,7 +102,7 @@ def test_criterion_03_link_mean_identity_and_clamp_rate():
     tree = preset_tree("fig1-5cat")
     gen = generate_true_data(150, 10, tree, -1.75, 0.25, np.random.default_rng(SEED))
     res = fit(gen.ratings, ModelSpec(tree), FitOptions(compute_se=False))
-    fz = convert_all(res, tree)
+    fz = convert_all(res)
     rate = float(fz.clamped.mean())
     print(f"clamp rate under fitted model: {rate:.4f}")
     assert rate < 0.05
@@ -192,14 +191,12 @@ def test_criterion_07_accuracy_table_scaled():
         gen = generate_true_data(150, 20, tree, design.alpha0, design.sigma_alpha,
                                  _replication_rng(SEED, 0, b))
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = fit(gen.ratings, spec, FitOptions(compute_se=False))
+            res = fit(gen.ratings, spec, FitOptions(compute_se=False))
         except EstimationError:
             continue
         if not res.converged:
             continue
-        fz = convert_all(res, tree)
+        fz = convert_all(res)
         for name in est:
             est[name].append(getattr(fz, name))
             truth[name].append(getattr(gen.true_fuzzy, name))

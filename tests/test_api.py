@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import types
 
@@ -64,9 +65,25 @@ PARAMETERS = [
     (fuzzy.kaufmann_support_table, ["c", "l", "r", "omega"]),
     (fuzzyirtree.kaufmann_support, ["f"]),
     (fuzzyirtree.validate_tree, ["tree"]),
+    # a fit reports only through its FitResult: convert_all takes the tree
+    # from the fit, and fit has no switch that issues its notes as warnings
+    (fuzzyirtree.convert_all, ["fit", "ratings"]),
+    (fuzzyirtree.fit, ["data", "spec", "options"]),
 ]
 
 
 @pytest.mark.parametrize("func,names", PARAMETERS, ids=[f.__name__ for f, _ in PARAMETERS])
 def test_trimmed_signatures_are_pinned(func, names):
     assert list(inspect.signature(func).parameters) == names
+
+
+# The fuzzy matrix carries no tree digest and the tree no category labels.
+FIELDS = [
+    (fuzzyirtree.FuzzyRatingMatrix, ["c", "l", "r", "omega", "clamped", "y"]),
+    (fuzzyirtree.ResponseTree, ["M", "N", "map", "node_labels"]),
+]
+
+
+@pytest.mark.parametrize("cls,names", FIELDS, ids=[c.__name__ for c, _ in FIELDS])
+def test_dataclass_fields_are_pinned(cls, names):
+    assert [f.name for f in dataclasses.fields(cls)] == names

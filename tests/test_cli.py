@@ -160,6 +160,19 @@ class TestFit:
         assert out.exists()
 
 
+# (id, artifact change) pairs that give a field the wrong JSON type: each is
+# exit 1 with a message, not a traceback, and "false" is not read as true
+WRONG_TYPES = [
+    ("alpha_shape-string", {"alpha_shape": "x"}),
+    ("alpha_shape-float", {"alpha_shape": [4.0, 1]}),
+    ("iterations-null", {"iterations": None}),
+    ("loglik-null", {"loglik": None}),
+    ("warnings-number", {"warnings": 5}),
+    ("converged-string", {"converged": "false"}),
+    *((f"{key}-object", {key: {"0": 1.0}}) for key in ("alpha", "eta", "sigma_cholesky", "se")),
+]
+
+
 class TestConvert:
     def test_chain_from_fit(self, ratings_csv, tmp_path, capsys):
         path, y = ratings_csv
@@ -253,6 +266,7 @@ class TestConvert:
         {"model": 5}, {"eta": [0.0, 1.0]}, {"eta": [[0.0, 0.0, 0.0]]},
         {"alpha_shape": [4]}, {"alpha": "x"}, {"sigma_cholesky": [-1.0]},
         {"sigma_cholesky": [1.0, 0.0, 1.0]},
+        *(pytest.param(change, id=id_) for id_, change in WRONG_TYPES),
     ], ids=lambda change: "-".join(change))
     def test_malformed_artifact(self, change, ratings_csv, tmp_path, capsys):
         path, _ = ratings_csv

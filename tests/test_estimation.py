@@ -1,11 +1,13 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fuzzyirtree import estimation
 from fuzzyirtree.estimation import (
     SE_REL_STEP,
     EstimationError,
@@ -553,21 +555,26 @@ class TestFit:
         np.testing.assert_allclose(b.alpha_hat, a.alpha_hat, atol=1e-4)
         np.testing.assert_allclose(b.eta_hat, a.eta_hat[perm], atol=1e-4)
 
-    def test_separation_warning(self, fig1):
+    def test_separation_notes_without_warning(self, fig1):
         y = np.full((12, 3), 3, dtype=int)  # everyone stops at the root
-        with pytest.warns(UserWarning, match="separation"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = fit(RatingMatrix(y, 5), ModelSpec(fig1), FitOptions(compute_se=False))
         assert any("separation" in w for w in res.warnings)
 
-    def test_separation_notes_without_warning(self, fig1):
-        import warnings
+    def test_nan_standard_errors_are_noted_not_warned(self, fig1, monkeypatch):
+        def nan_se(fitres, data):
+            return np.full(fitres.alpha_hat.shape, np.nan)
 
-        y = np.full((12, 3), 3, dtype=int)
+        monkeypatch.setattr(estimation, "standard_errors", nan_se)
+        data, _ = _simulate(25, 3, fig1, seed=41)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = fit(RatingMatrix(y, 5), ModelSpec(fig1), FitOptions(compute_se=False),
-                      warn=False)
-        assert any("separation" in w for w in res.warnings)
+            res = fit(data, ModelSpec(fig1))
+        note = "observed information is not invertible; SEs set to NaN"
+        assert res.converged and np.isnan(res.se_alpha).all()
+        assert note in res.warnings
+        assert note in json.loads(fit_to_json(res))["warnings"]
 
     def test_diagnostics(self, fitted):
         res, _, _, _ = fitted
@@ -725,6 +732,28 @@ class TestArtifact:
         with pytest.raises(ValueError, match=f"model is missing field '{key}'"):
             fit_from_json(json.dumps(doc), fig1)
 
+    WRONG_TYPES = [
+        ("alpha_shape", "x"), ("alpha_shape", [4.0, 1]), ("iterations", None),
+        ("loglik", None), ("warnings", 5), ("converged", "false"), ("alpha", {}),
+        ("eta", {}), ("sigma_cholesky", {}), ("se", {}), ("model", 5), ("tree_digest", 5),
+    ]
+
+    @pytest.mark.parametrize("key,value", WRONG_TYPES,
+                             ids=[f"{k}-{json.dumps(v)}" for k, v in WRONG_TYPES])
+    def test_wrong_json_type_names_the_field(self, key, value, fig1):
+        doc = self._doc(fig1)
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"fit artifact field '{key}' must be"):
+            fit_from_json(json.dumps(doc), fig1)
+
+    @pytest.mark.parametrize("key", ["alpha", "eta", "sigma_cholesky"])
+    def test_null_entry_is_not_read_as_nan(self, key, fig1):
+        doc = self._doc(fig1)
+        row = doc[key][0] if key == "eta" else doc[key]
+        row[0] = None
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_from_json(json.dumps(doc), fig1)
+
     def test_alpha_shape_must_fit_item_design(self, fig1):
         doc = self._doc(fig1)
         doc["model"]["item_design"] = "per-node"
@@ -745,11 +774,11 @@ class TestLoadedFit:
     def test_same_answers_as_the_fresh_fit(self, design, seed, n_raters, n_items):
         tree = preset_tree("fig1-5cat")
         data, _ = _simulate(n_raters, n_items, tree, seed=seed)
-        res = fit(data, ModelSpec(tree, *design), warn=False)
+        res = fit(data, ModelSpec(tree, *design))
         # an SE that is NaN on both sides would compare equal and show nothing
         assume(res.se_alpha is not None and np.isfinite(res.se_alpha).all())
         back = fit_from_json(fit_to_json(res), tree)
-        fresh, loaded = convert_all(res, tree, data), convert_all(back, tree, data)
+        fresh, loaded = convert_all(res, data), convert_all(back, data)
         for name in ("c", "l", "r", "omega", "clamped", "y"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(fresh, name))
         np.testing.assert_allclose(posterior_modes(back, data), posterior_modes(res, data),
@@ -759,10 +788,10 @@ class TestLoadedFit:
 
     def test_unstructured_case_study_stand_in(self, fig2):
         data = case_study_stand_in(seed=0)
-        res = fit(data, ModelSpec(fig2, *CASE_STUDY_SPEC), warn=False)
+        res = fit(data, ModelSpec(fig2, *CASE_STUDY_SPEC))
         assert res.converged and np.isfinite(res.se_alpha).all()
         back = fit_from_json(fit_to_json(res), fig2)
-        fresh, loaded = convert_all(res, fig2, data), convert_all(back, fig2, data)
+        fresh, loaded = convert_all(res, data), convert_all(back, data)
         for name in ("c", "l", "r", "omega", "clamped", "y"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(fresh, name))
         np.testing.assert_allclose(posterior_modes(back, data), posterior_modes(res, data),

@@ -316,8 +316,7 @@ class TestConvert:
         c, l, r, w, clamped = convert_table(p[None, :])
         assert l[0] == c[0] == r[0]
         fz = FuzzyRatingMatrix(c=c.reshape(1, 1), l=l.reshape(1, 1), r=r.reshape(1, 1),
-                               omega=w.reshape(1, 1), clamped=clamped.reshape(1, 1),
-                               tree_digest="")
+                               omega=w.reshape(1, 1), clamped=clamped.reshape(1, 1))
         _, f = fz.entry(0, 0)
         assert f.degenerate
         assert convert(MultiverseDistribution(p), 6).degenerate
@@ -346,15 +345,14 @@ class TestConvertAll:
         fake = FuzzyRatingMatrix(  # minimal stand-in carrying fitted arrays
             c=np.zeros((1, 1)), l=np.zeros((1, 1)), r=np.zeros((1, 1)),
             omega=np.ones((1, 1)), clamped=np.zeros((1, 1), bool),
-            tree_digest=fig1.digest(),
         )
 
         class Stub:
             eta_hat = np.zeros((1, 4))
             alpha_hat = np.zeros((1, 1))
-            tree_digest = fig1.digest()
+            model = ModelSpec(fig1)
 
-        out = convert_all(Stub(), fig1)
+        out = convert_all(Stub())
         _, f = out.entry(0, 0)
         assert f.c == pytest.approx(3.0, abs=1e-5)
         assert f.l == pytest.approx(1.95417, abs=1e-5)
@@ -362,33 +360,28 @@ class TestConvertAll:
         assert f.omega == pytest.approx(0.3125, abs=1e-5)
         assert fake.shape == (1, 1)
 
-    def test_digest_mismatch(self, fig1, fig2):
-        res, _ = _small_fit(fig1)
-        with pytest.raises(ValueError, match="digest"):
-            convert_all(res, fig2)
-
     def test_item_permutation_equivariance(self, fig1):
         res, _ = _small_fit(fig1)
-        out = convert_all(res, fig1)
+        out = convert_all(res)
 
         class Permuted:
             eta_hat = res.eta_hat
             alpha_hat = res.alpha_hat[[2, 0, 1]]
-            tree_digest = res.tree_digest
+            model = res.model
 
-        out2 = convert_all(Permuted(), fig1)
+        out2 = convert_all(Permuted())
         np.testing.assert_allclose(out2.c, out.c[:, [2, 0, 1]], atol=1e-12)
         np.testing.assert_allclose(out2.omega, out.omega[:, [2, 0, 1]], atol=1e-12)
 
     def test_carries_crisp_ratings(self, fig1):
         res, data = _small_fit(fig1)
-        out = convert_all(res, fig1, data)
+        out = convert_all(res, data)
         rating, _ = out.entry(0, 0)
         assert rating == int(data.values[0, 0])
 
     def test_invariants_on_fitted_model(self, fig1):
         res, _ = _small_fit(fig1)
-        out = convert_all(res, fig1)
+        out = convert_all(res)
         assert (out.l <= out.c).all() and (out.c <= out.r).all()
         assert (out.l >= 1).all() and (out.r <= 5).all()
         assert ((out.omega > 0.2 - 1e-12) & (out.omega <= 1)).all()
