@@ -147,16 +147,10 @@ _design_value = functools.partial(_json_field, owner="design")
 def _design_from_json(doc: dict) -> simulation.SimDesign:
     if not isinstance(doc, dict):
         raise ValueError("design must be a JSON object")
-    for key in ("I", "J", "pi", "B", "tree", "seed"):
-        if key not in doc:
-            raise ValueError(f"design missing field '{key}'")
-    spec = doc["tree"]
-    if isinstance(spec, str):
-        t = tree.preset_tree(spec)
-    elif isinstance(spec, dict):
-        t = tree.parse_tree_spec(json.dumps(spec))
-    else:
-        raise ValueError("'tree' must be a preset name or an inline tree spec")
+    # the tree readers raise their own messages, so they run outside the field reader
+    spec = _design_value(doc, "tree", lambda v: v, "a preset name or an inline tree spec",
+                         (str, dict))
+    t = tree.preset_tree(spec) if isinstance(spec, str) else tree.parse_tree_spec(json.dumps(spec))
     # optional fields keep SimDesign's defaults when the file leaves them out
     optional = {k: _design_value(doc, k, float, "a number")
                 for k in ("alpha0", "sigma_alpha", "gamma", "delta") if k in doc}
@@ -246,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["common", "pernode"], default="common")
     p.add_argument("--items", choices=["common", "pernode"], default="common")
     p.add_argument("--cov", choices=["scalar", "diag", "unstructured"], default="scalar")
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--tol", type=float, default=FitOptions.tol)
+    p.add_argument("--max-iter", type=int, default=FitOptions.max_iter)
     p.add_argument("--no-se", action="store_true", help="skip standard errors")
     p.set_defaults(func=cmd_fit)
 

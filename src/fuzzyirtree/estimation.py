@@ -228,7 +228,7 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
         for _ in range(50):
             cand = eta + scale[:, None] * step
             f_new = per_rater_value(cand)
-            worse = f_new < f_cur - 1e-12
+            worse = f_new < f_cur - INNER_DECREMENT_TOL
             if not worse.any():
                 break
             scale[worse] *= 0.5
@@ -620,27 +620,32 @@ def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
         if key not in model:
             raise ValueError(f"fit artifact: model is missing field '{key}'")
     spec = ModelSpec(tree, model["trait_design"], model["item_design"], model["covariance"])
-    alpha = f["alpha"].reshape(f["alpha_shape"])
-    if alpha.shape[1:] != (spec.item_cols,) or f["eta"].shape[1:] != (tree.N,):
-        raise ValueError(f"fit artifact: alpha_shape must be [J, {spec.item_cols}] for "
-                         f"{spec.item_design} items and eta an I x {tree.N} matrix")
+    shape, d = f["alpha_shape"], spec.re_dim
+    if (len(shape) != 2 or shape[0] < 1 or shape[1] != spec.item_cols
+            or f["eta"].shape[1:] != (tree.N,)):
+        raise ValueError(f"fit artifact: alpha_shape must be [J, {spec.item_cols}] with J >= 1 "
+                         f"for {spec.item_design} items and eta an I x {tree.N} matrix")
+    for key, size in (("alpha", shape[0] * shape[1]), ("sigma_cholesky", d * (d + 1) // 2),
+                      ("se", shape[0] * shape[1])):
+        if f.get(key) is not None and f[key].shape != (size,):
+            raise ValueError(f"fit artifact: {key} must have length {size}, got {f[key].shape}")
     if not all(np.isfinite(f[key]).all() for key in ("alpha", "eta", "sigma_cholesky")):
         raise ValueError("fit artifact: alpha, eta and sigma_cholesky must be finite")
-    low = np.zeros((spec.re_dim, spec.re_dim))
-    low[np.tril_indices(spec.re_dim)] = f["sigma_cholesky"]
+    low = np.zeros((d, d))
+    low[np.tril_indices(d)] = f["sigma_cholesky"]
     if not (np.diag(low) > 0).all():
         raise ValueError("fit artifact: sigma_cholesky needs a positive diagonal")
     theta = _cov_params(low, spec)
     return FitResult(
-        alpha_hat=alpha,
+        alpha_hat=f["alpha"].reshape(shape),
         sigma_hat=_unpack_cov(theta, spec),
         eta_hat=f["eta"],
         log_marginal_lik=f["loglik"],
-        se_alpha=None if f.get("se") is None else f["se"].reshape(alpha.shape),
+        se_alpha=None if f.get("se") is None else f["se"].reshape(shape),
         converged=f["converged"],
         iterations=f["iterations"],
         model=spec,
         tree_digest=f["tree_digest"],
         warnings=f.get("warnings", []),
-        x=_pack(alpha, theta),
+        x=_pack(f["alpha"], theta),
     )

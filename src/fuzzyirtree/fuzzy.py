@@ -5,14 +5,15 @@ the M categories, compute its mean and variance, map the pair through the
 Williams moment link (on the unit interval) to get the support endpoints,
 and set the intensification parameter to the sum of squared probabilities.
 
-Each computation has one kernel, vectorized over cells:
-`_moments` and `_link` (joined by `convert_table`), `_membership_rows`, and
-the Kaufmann reduction `kaufmann_index` (along the last axis, with
+Each computation has one kernel, vectorized over cells of any leading
+shape: `_moments` and `_link` (joined by `convert_table`, which converts
+each distribution on the last axis), `_membership_rows`, and the Kaufmann
+reduction `kaufmann_index` (along the last axis, with
 `kaufmann_support_table` scoring each number on its own support).
 `multiverse_moments`, `williams_link`, `convert`, `membership`,
 `kaufmann_of` and `kaufmann_support` are one-cell wrappers over them;
-`convert_all` applies `convert_table` to a `FitResult`, with the tree the
-model was fit with.
+`convert_all` applies `convert_table` to the I x J x M table of a
+`FitResult`, with the tree the model was fit with.
 """
 from __future__ import annotations
 
@@ -107,7 +108,9 @@ def _moments(p):
     """Mean and variance of distributions over 1..M along the last axis."""
     y = np.arange(1, p.shape[-1] + 1, dtype=float)
     c = p @ y
-    return c, np.maximum(p @ y**2 - c**2, 0.0)
+    # c * c is what an array's c**2 computes; a numpy scalar's c**2 calls pow,
+    # which can be an ulp off, and one cell must convert as it does in a table
+    return c, np.maximum(p @ y**2 - c * c, 0.0)
 
 
 def _link(cn, sn):
@@ -119,7 +122,8 @@ def _link(cn, sn):
     deg = sn < DEGENERATE_VARIANCE
     safe = np.where(deg, 1.0, sn)
     mu = (1.0 + cn / safe) / (2.0 + 1.0 / safe)
-    rad = 3.5 * sn - 3.0 * (cn - mu) ** 2
+    dev = cn - mu
+    rad = 3.5 * sn - 3.0 * (dev * dev)  # not dev**2: see _moments
     h1 = np.sqrt(np.maximum(rad, 0.0))
     h2 = 0.5 * (h1 + 3.0 * cn - 3.0 * mu)
     ln = cn - h2
@@ -159,29 +163,26 @@ def convert(d: MultiverseDistribution, M: int) -> Tfn4:
     """Full conversion of one category distribution into a Tfn4."""
     if M != d.M:
         raise ValueError(f"distribution has {d.M} categories, expected {M}")
-    c, l, r, omega, clamped = convert_table(d.probs[None, :])
-    return Tfn4(c=float(c[0]), l=float(l[0]), r=float(r[0]), omega=float(omega[0]),
-                clamped=bool(clamped[0]))
+    c, l, r, omega, clamped = convert_table(d.probs)
+    return Tfn4(c=float(c), l=float(l), r=float(r), omega=float(omega), clamped=bool(clamped))
 
 
 def convert_table(probs: np.ndarray):
-    """Convert each row of a (K, M) matrix of distributions into a Tfn4.
+    """Convert each distribution on the last axis of `probs` into a Tfn4.
 
-    Returns arrays (c, l, r, omega, clamped), each of length K, with
-    l <= c <= r exactly in every row.
+    Returns (c, l, r, omega, clamped), each shaped like `probs` without its
+    last axis, with l <= c <= r exactly in every cell.
     """
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 2:
-        raise ValueError("probs must be a (K, M) matrix")
     c, s = _moments(p)
-    scale = p.shape[1] - 1.0
+    scale = p.shape[-1] - 1.0
     ln, rn, clamped = _link((c - 1.0) / scale, s / scale**2)
     # mapping back to 1..M can move an endpoint past c by an ulp when M - 1
     # is not a power of two; a zero-width support is the crisp mode itself
     crisp = ln == rn
     l = np.where(crisp, c, np.minimum(1.0 + scale * ln, c))
     r = np.where(crisp, c, np.maximum(1.0 + scale * rn, c))
-    return c, l, r, np.sum(p**2, axis=1), clamped
+    return c, l, r, np.sum(p**2, axis=-1), clamped
 
 
 @dataclass(frozen=True)
@@ -194,13 +195,6 @@ class FuzzyRatingMatrix:
     omega: np.ndarray
     clamped: np.ndarray
     y: np.ndarray | None = None
-
-    @classmethod
-    def from_probs(cls, probs, y=None) -> "FuzzyRatingMatrix":
-        """`convert_table` of each cell of an (I, J, M) array of distributions."""
-        shape = probs.shape[:-1]
-        cols = convert_table(probs.reshape(-1, probs.shape[-1]))
-        return cls(*(v.reshape(shape) for v in cols), y=y)
 
     @property
     def shape(self):
@@ -229,14 +223,17 @@ def convert_all(fit, ratings=None) -> FuzzyRatingMatrix:
     eta_hat is I x N and alpha_hat J x N or J x 1 (broadcast over the nodes);
     `ratings`, a `RatingMatrix` of the same I x J, fills the crisp `y` column.
     """
+    from .estimation import RatingMatrix
     from .tree import category_probability_table
 
+    if ratings is not None and not isinstance(ratings, RatingMatrix):
+        raise TypeError(f"ratings must be a RatingMatrix or None, got {type(ratings).__name__}")
     probs = category_probability_table(fit.model.tree, fit.eta_hat[:, None, :],
                                        fit.alpha_hat[None, :, :])
     y = None if ratings is None else ratings.values
     if y is not None and y.shape != probs.shape[:-1]:
         raise ValueError(f"ratings must be {probs.shape[:-1]}, got {y.shape}")
-    return FuzzyRatingMatrix.from_probs(probs, y)
+    return FuzzyRatingMatrix(*convert_table(probs), y=y)
 
 
 def kaufmann_index(memberships):
@@ -261,13 +258,14 @@ def kaufmann_support_table(c, l, r, omega):
 
     Unlike kaufmann_of, the evaluation universe is the fuzzy number's own
     support [l, r], so the index does not get diluted by the zero
-    memberships outside it; a degenerate number scores 0.
+    memberships outside it; a degenerate number scores 0. The result has
+    the shape the four inputs broadcast to (a float for scalars).
     """
-    c, l, r, w = (np.asarray(v, float).reshape(-1, 1) for v in (c, l, r, omega))
+    c, l, r, w = (np.asarray(v, float)[..., None] for v in (c, l, r, omega))
     grid = l + (r - l) * np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     return kaufmann_index(_membership_rows(grid, c, l, r, w))
 
 
 def kaufmann_support(f: Tfn4) -> float:
     """kaufmann_support_table of one Tfn4."""
-    return float(kaufmann_support_table(f.c, f.l, f.r, f.omega)[0])
+    return kaufmann_support_table(f.c, f.l, f.r, f.omega)

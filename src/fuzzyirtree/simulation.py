@@ -27,6 +27,7 @@ from .estimation import (
 from .fuzzy import (
     FuzzyRatingMatrix,
     convert_all,
+    convert_table,
     kaufmann_support_table,
 )
 from .tree import ResponseTree, category_probability_table
@@ -106,7 +107,7 @@ def generate_true_data(I, J, tree: ResponseTree, alpha0, sigma_alpha,
     alpha = np.repeat(alpha_s[:, None], tree.N, axis=1)
     probs = category_probability_table(tree, eta[:, None, :], alpha[None, :, :])
     y = _draw_categories(probs, rng)
-    true_fuzzy = FuzzyRatingMatrix.from_probs(probs, y)
+    true_fuzzy = FuzzyRatingMatrix(*convert_table(probs), y=y)
     return GeneratedData(RatingMatrix(y, tree.M), eta, alpha, true_fuzzy)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fuzzyirtree import estimation, generate_true_data, preset_tree
 from fuzzyirtree.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 
 
@@ -21,6 +22,16 @@ def ratings_csv(tmp_path, rng):
     path = tmp_path / "ratings.csv"
     path.write_text("\n".join(",".join(map(str, row)) for row in y) + "\n")
     return path, y
+
+
+@pytest.fixture
+def seed_2024_csv(tmp_path):
+    """50 x 10 fig1-5cat ratings from the generating model, seed 2024."""
+    tree = preset_tree("fig1-5cat")
+    y = generate_true_data(50, 10, tree, -1.75, 0.25, np.random.default_rng(2024)).ratings
+    path = tmp_path / "seed2024.csv"
+    path.write_text("\n".join(",".join(map(str, row)) for row in y.values) + "\n")
+    return path
 
 
 class TestValidateTree:
@@ -75,6 +86,10 @@ class TestEval:
     def test_invalid_shape(self, capsys):
         assert run_cli("eval", "--c", "1", "--l", "2", "--r", "4",
                        "--y", "2.5") == EXIT_DOMAIN
+
+    def test_needs_a_point_or_the_grid(self, capsys):
+        assert run_cli("eval", "--c", "3", "--l", "2", "--r", "4") == EXIT_DOMAIN
+        assert "pass --y VALUE or --grid" in capsys.readouterr().err
 
 
 class TestFit:
@@ -140,6 +155,35 @@ class TestFit:
         if code != EXIT_OK:
             assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty ratings file"), ("item1,item2\n", "no data rows"),
+        ("1,2\n3\n", "rows have unequal lengths"),
+    ], ids=["empty", "header-only", "ragged"])
+    def test_unusable_ratings_file(self, text, message, tmp_path, capsys):
+        path = tmp_path / "ratings.csv"
+        path.write_text(text)
+        code = run_cli("fit", "--preset", "fig1-5cat", "--data", str(path),
+                       "--out", str(tmp_path / "x.json"))
+        assert code == EXIT_DOMAIN
+        assert message in capsys.readouterr().err
+
+    def test_inner_newton_failure_exits_1(self, seed_2024_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimation, "INNER_MAX_ITER", 0)
+        code = run_cli("fit", "--preset", "fig1-5cat", "--data", str(seed_2024_csv),
+                       "--out", str(tmp_path / "x.json"))
+        assert code == EXIT_DOMAIN
+        assert "error: inner Newton failed to converge for rater" in capsys.readouterr().err
+
+    def test_iteration_limit_is_reported(self, seed_2024_csv, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        code = run_cli("fit", "--preset", "fig1-5cat", "--data", str(seed_2024_csv),
+                       "--out", str(out), "--max-iter", "1")
+        assert code == EXIT_OK
+        printed = capsys.readouterr()
+        assert "warning: did not converge after 1 iterations" in printed.err
+        assert "converged: false" in printed.out
+        assert json.loads(out.read_text())["se"] is None
+
     def test_header_autodetect(self, tmp_path):
         path = tmp_path / "headed.csv"
         path.write_text("item1,item2\n1,2\n3,4\n5,1\n2,3\n4,5\n3,3\n2,2\n")
@@ -159,6 +203,15 @@ class TestFit:
         assert "separation" in capsys.readouterr().err
         assert out.exists()
 
+
+# (id, artifact change) pairs of a field whose length does not fit the
+# model: the 4 items of the fit below, or d(d + 1)/2 = 1 Cholesky entries
+WRONG_LENGTHS = [
+    ("sigma_cholesky-empty", {"sigma_cholesky": []}),
+    ("alpha-short", {"alpha": [0.1, 0.2, 0.3]}),
+    ("se-short", {"se": [0.1, 0.2]}),
+    ("alpha_shape-negative", {"alpha_shape": [-1, 1]}),
+]
 
 # (id, artifact change) pairs that give a field the wrong JSON type: each is
 # exit 1 with a message, not a traceback, and "false" is not read as true
@@ -266,7 +319,7 @@ class TestConvert:
         {"model": 5}, {"eta": [0.0, 1.0]}, {"eta": [[0.0, 0.0, 0.0]]},
         {"alpha_shape": [4]}, {"alpha": "x"}, {"sigma_cholesky": [-1.0]},
         {"sigma_cholesky": [1.0, 0.0, 1.0]},
-        *(pytest.param(change, id=id_) for id_, change in WRONG_TYPES),
+        *(pytest.param(change, id=id_) for id_, change in WRONG_TYPES + WRONG_LENGTHS),
     ], ids=lambda change: "-".join(change))
     def test_malformed_artifact(self, change, ratings_csv, tmp_path, capsys):
         path, _ = ratings_csv
@@ -278,7 +331,9 @@ class TestConvert:
         code = run_cli("convert", "--preset", "fig1-5cat", "--fit", str(fit_path),
                        "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_DOMAIN
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert next(iter(change)) in err  # the message names the field
 
 
 class TestSimulate:
@@ -355,6 +410,22 @@ class TestSimulate:
         assert code == EXIT_DOMAIN
         assert "pi must lie in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_inline_tree_object(self, tmp_path):
+        path = self._design(tmp_path, B=1)
+        tree = json.loads(preset_tree("fig1-5cat").spec_text())
+        path.write_text(json.dumps({**json.loads(path.read_text()), "tree": tree}))
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--design", str(path), "--out", str(out)) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_tree_of_the_wrong_type(self, tmp_path, capsys):
+        path = self._design(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "tree": 5}))
+        code = run_cli("simulate", "--design", str(path), "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert "design field 'tree' must be a preset name or an inline tree spec" in (
+            capsys.readouterr().err)
 
     def test_design_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "design.json"

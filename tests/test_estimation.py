@@ -28,6 +28,7 @@ from fuzzyirtree.estimation import (
     standard_errors,
 )
 from fuzzyirtree.fuzzy import convert_all
+from fuzzyirtree.simulation import generate_true_data
 from fuzzyirtree.tree import category_probability_table, preset_tree
 
 DESIGNS = (
@@ -241,6 +242,11 @@ class TestRatingMatrix:
     def test_empty(self):
         with pytest.raises(ValueError):
             RatingMatrix(np.empty((0, 3), dtype=int), 5)
+
+    def test_integral_floats_are_read_as_integers(self):
+        y = RatingMatrix(np.array([[1.0, 3.0], [5.0, 2.0]]), 5).values
+        assert np.issubdtype(y.dtype, np.integer)
+        np.testing.assert_array_equal(y, [[1, 3], [5, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +623,21 @@ class TestFit:
         assert res.converged
         assert res.sigma_hat.shape == (4, 4)
 
+    @staticmethod
+    def _seed_2024_data(tree):
+        return generate_true_data(50, 10, tree, -1.75, 0.25, np.random.default_rng(2024)).ratings
+
+    def test_inner_newton_failure_is_an_estimation_error(self, fig1, monkeypatch):
+        monkeypatch.setattr(estimation, "INNER_MAX_ITER", 0)
+        with pytest.raises(EstimationError, match="inner Newton failed to converge for rater"):
+            fit(self._seed_2024_data(fig1), ModelSpec(fig1))
+
+    def test_iteration_limit_is_noted_and_skips_standard_errors(self, fig1):
+        res = fit(self._seed_2024_data(fig1), ModelSpec(fig1), FitOptions(max_iter=1))
+        assert res.converged is False
+        assert "did not converge after 1 iterations" in res.warnings
+        assert res.se_alpha is None
+
     def test_common_trait_forces_scalar_cov(self, fig1):
         with pytest.raises(ValueError, match="scalar"):
             ModelSpec(fig1, trait_design="common", covariance="diagonal")
@@ -665,6 +686,22 @@ class TestStandardErrors:
         np.testing.assert_allclose(
             standard_errors(res, data), value_hessian_se(res, data), rtol=1e-4
         )
+
+    @pytest.mark.parametrize("curvature", [0.0, -1.0], ids=["singular", "negative"])
+    def test_unusable_information_gives_nan(self, curvature, fitted, monkeypatch):
+        # a quadratic objective whose information is curvature * I: zero is
+        # not invertible and -1 gives negative variances
+        def make_objective(pseudo, spec):
+            def objective(x):
+                return 0.0, curvature * x
+            objective.modes = None
+            return objective
+
+        res, data, _, _ = fitted
+        monkeypatch.setattr(estimation, "_make_objective", make_objective)
+        se = standard_errors(res, data)
+        assert se.shape == res.alpha_hat.shape
+        assert np.isnan(se).all()
 
     def test_doubling_sample_shrinks_se(self, fig1):
         data, _ = _simulate(60, 4, fig1, seed=31)
@@ -752,6 +789,19 @@ class TestArtifact:
         row = doc[key][0] if key == "eta" else doc[key]
         row[0] = None
         with pytest.raises(ValueError, match="must be finite"):
+            fit_from_json(json.dumps(doc), fig1)
+
+    WRONG_LENGTHS = [
+        ("sigma_cholesky", [1.0, 0.0, 1.0]), ("sigma_cholesky", []), ("alpha", [0.1, 0.2]),
+        ("se", [0.1, 0.2]), ("alpha_shape", [-1, 1]), ("alpha_shape", [0, 1]),
+    ]
+
+    @pytest.mark.parametrize("key,value", WRONG_LENGTHS,
+                             ids=[f"{k}-{json.dumps(v)}" for k, v in WRONG_LENGTHS])
+    def test_wrong_length_names_the_field(self, key, value, fig1):
+        doc = self._doc(fig1)
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"fit artifact: {key} must"):
             fit_from_json(json.dumps(doc), fig1)
 
     def test_alpha_shape_must_fit_item_design(self, fig1):

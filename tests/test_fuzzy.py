@@ -309,6 +309,14 @@ class TestConvert:
         f = convert(d, 5)
         assert (f.c, f.l, f.r, f.omega, f.clamped) == (c[0], l[0], r[0], w[0], clamped[0])
 
+    @pytest.mark.parametrize("M", [4, 7])
+    def test_one_cell_converts_as_a_one_row_table(self, M):
+        # convert computes on numpy scalars, whose x**2 goes through pow and
+        # can be an ulp off the x * x of an array
+        for p in np.random.default_rng(M).dirichlet(np.full(M, 0.5), size=3000):
+            f = convert(MultiverseDistribution(p), M)
+            assert [f.c, f.l, f.r, f.omega, f.clamped] == [v[0] for v in convert_table(p[None, :])]
+
     def test_near_crisp_six_categories_keeps_order(self):
         # the degenerate branch maps back as 1 + 5 ((c - 1) / 5), which is
         # not c; the endpoints must still not cross the mode
@@ -320,6 +328,16 @@ class TestConvert:
         _, f = fz.entry(0, 0)
         assert f.degenerate
         assert convert(MultiverseDistribution(p), 6).degenerate
+
+    @pytest.mark.parametrize("M", [3, 5, 6])
+    def test_table_of_any_leading_shape(self, M):
+        # matmul gives a table row the bits of the same row in any table of
+        # two or more rows; a one-row table (J = 1) takes numpy's dot path
+        p = np.random.default_rng(M).dirichlet(np.ones(M), size=(30, 7))
+        flat = convert_table(p.reshape(-1, M))
+        for got, want in zip(convert_table(p), flat, strict=True):
+            assert got.shape == (30, 7)
+            assert np.array_equal(got, want.reshape(30, 7))
 
     @pytest.mark.parametrize("M", [3, 4, 5, 6, 7])
     def test_order_on_near_crisp_draws(self, M):
@@ -378,6 +396,16 @@ class TestConvertAll:
         out = convert_all(res, data)
         rating, _ = out.entry(0, 0)
         assert rating == int(data.values[0, 0])
+
+    def test_ratings_must_be_a_rating_matrix(self, fig1):
+        res, data = _small_fit(fig1)
+        with pytest.raises(TypeError, match="ratings must be a RatingMatrix or None, got ndarray"):
+            convert_all(res, data.values)
+
+    def test_ratings_of_the_wrong_shape(self, fig1):
+        res, data = _small_fit(fig1)
+        with pytest.raises(ValueError, match=r"ratings must be \(20, 3\), got \(20, 2\)"):
+            convert_all(res, RatingMatrix(data.values[:, :2], fig1.M))
 
     def test_invariants_on_fitted_model(self, fig1):
         res, _ = _small_fit(fig1)
@@ -466,6 +494,15 @@ class TestKaufmann:
             assert ks[i] == pytest.approx(
                 _kaufmann_loop(oracle_membership(f, own)), abs=1e-12)
             assert kaufmann_support(f) == ks[i]
+
+    def test_support_table_keeps_the_input_shape(self, rng):
+        c = rng.uniform(2, 4, (6, 5))
+        l, r = c - rng.uniform(0, 1, c.shape), c + rng.uniform(0, 1, c.shape)
+        w = rng.uniform(0.2, 1.0, c.shape)
+        ks = kaufmann_support_table(c, l, r, w)
+        assert ks.shape == (6, 5)
+        flat = kaufmann_support_table(c.ravel(), l.ravel(), r.ravel(), w.ravel())
+        assert np.array_equal(ks.ravel(), flat)
 
     def test_support_table_degenerate_rows(self):
         ks = kaufmann_support_table([3.0, 3.0], [3.0, 2.0], [3.0, 4.0], [1.0, 1.0])

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 import warnings
 
 import numpy as np
@@ -270,6 +271,14 @@ class TestRunCellAndStudy:
         # forked workers inherit the patched module
         monkeypatch.setattr(simulation, "fit", broken_fit)
         rows = run_study(tiny_design, threads=2).rows
+        assert [(r.n_completed, r.n_failed) for r in rows] == [(0, 3), (0, 3)]
+
+    def test_unconverged_fits_are_counted(self, tiny_design, monkeypatch):
+        def unconverged_fit(*args, **kwargs):
+            return types.SimpleNamespace(converged=False)
+
+        monkeypatch.setattr(simulation, "fit", unconverged_fit)
+        rows = run_study(tiny_design, threads=1).rows
         assert [(r.n_completed, r.n_failed) for r in rows] == [(0, 3), (0, 3)]
 
     def test_study_rows_and_determinism(self, tiny_design):

@@ -162,6 +162,18 @@ class TestPresets:
             fig1.map[0, 0] = 0.0
 
 
+class TestResponseTree:
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(M=1, N=1, map=[[1]], node_labels=("a",)), "M must be >= 2"),
+        (dict(M=2, N=1, map=[[0, 1], [1, 0]], node_labels=("a",)), r"map must be 2x1"),
+        (dict(M=2, N=1, map=[[0], [2]], node_labels=("a",)), "map entries must be 0, 1, or NA"),
+        (dict(M=2, N=1, map=[[0], [1]], node_labels=("a", "b")), "one label per node"),
+    ], ids=["M", "map-shape", "map-entry", "labels"])
+    def test_checks(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ResponseTree(**kwargs)
+
+
 class TestParseTreeSpec:
     def test_round_trip(self, fig1):
         parsed = parse_tree_spec(fig1.spec_text())
@@ -188,6 +200,26 @@ class TestParseTreeSpec:
         doc = json.loads(fig1.spec_text())
         doc["map"] = doc["map"][:-1]
         with pytest.raises(ValueError, match="rows"):
+            parse_tree_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("change,message", [
+        ({"M": 1}, "'M' must be an integer >= 2"), ({"M": "5"}, "'M' must be an integer >= 2"),
+        ({"nodes": "Z1"}, "'nodes' must be a list of strings"),
+        ({"nodes": [1, 2, 3, 4]}, "'nodes' must be a list of strings"),
+    ], ids=["M-small", "M-string", "nodes-string", "nodes-numbers"])
+    def test_bad_field(self, change, message, fig1):
+        doc = {**json.loads(fig1.spec_text()), **change}
+        with pytest.raises(ValueError, match=message):
+            parse_tree_spec(json.dumps(doc))
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="tree spec must be a JSON object"):
+            parse_tree_spec("[1, 2]")
+
+    def test_short_map_row(self, fig1):
+        doc = json.loads(fig1.spec_text())
+        doc["map"][1] = doc["map"][1][:-1]
+        with pytest.raises(ValueError, match="map row 2 must have 4 entries"):
             parse_tree_spec(json.dumps(doc))
 
     def test_invalid_tree_rejected(self):

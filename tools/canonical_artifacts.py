@@ -1,0 +1,126 @@
+"""Write the package's canonical CLI outputs to a directory.
+
+Usage:
+
+    PYTHONPATH=src python3 tools/canonical_artifacts.py OUTDIR
+
+Runs `fuzzyirtree.cli.main` in-process with whichever `fuzzyirtree` is first
+on the path, so two checkouts are compared by running each into its own
+directory and then `diff -r DIR_A DIR_B`. Every command's stdout and stderr
+are kept, with OUTDIR written as `OUTDIR`, and `exit-codes.txt` lists each
+command's exit code. The outputs:
+
+- fit JSON, stdout, stderr and the convert CSV of 150 x 20 seed-2024
+  ratings from the generating model, for fig1-5cat and fig2-6cat under five
+  designs (`FIT_DESIGNS`);
+- the fit of two raters who both answer 3, 3, 3 (separation notes);
+- a 2000 x 40 convert of an artifact written from the generating
+  parameters, with and without `--data`;
+- the `simulate` CSV and stdout of two designs (`DESIGNS`) at `--threads`
+  1 and 2.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import numpy as np
+
+from fuzzyirtree import estimation, generate_true_data, preset_tree
+from fuzzyirtree.cli import main
+
+SEED = 2024
+ALPHA0, SIGMA_ALPHA = -1.75, 0.25
+PRESETS = ("fig1-5cat", "fig2-6cat")
+FIT_DESIGNS = {
+    "default": [],
+    "items-pernode": ["--items", "pernode"],
+    "model-pernode": ["--model", "pernode"],
+    "model-pernode-diag": ["--model", "pernode", "--cov", "diag"],
+    "pernode-pernode-diag": ["--model", "pernode", "--items", "pernode", "--cov", "diag"],
+}
+DESIGNS = {
+    # the design of acceptance criterion 9
+    "criterion9": {"I": [25], "J": [5], "pi": [0.0, 0.5], "B": 3,
+                   "tree": "fig1-5cat", "seed": 31},
+    # the README's example factorial at B = 2
+    "readme-factorial": {"I": [50, 150], "J": [10, 20], "pi": [0, 0.25, 0.5, 0.75],
+                         "B": 2, "tree": "fig1-5cat", "seed": 2024},
+}
+
+
+def write_ratings(path, y):
+    np.savetxt(path, y, fmt="%d", delimiter=",")
+
+
+def run(outdir, name, argv, codes):
+    """Run one CLI command; keep its stdout and stderr with OUTDIR masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    for suffix, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+        with open(os.path.join(outdir, f"{name}.{suffix}"), "w", encoding="utf-8") as fh:
+            fh.write(text.replace(outdir, "OUTDIR"))
+    codes.append(f"{name} {code}")
+
+
+def write_all(outdir):
+    outdir = os.path.abspath(outdir)
+    os.makedirs(outdir, exist_ok=True)
+    codes = []
+
+    def path(name):
+        return os.path.join(outdir, name)
+
+    for preset in PRESETS:
+        tree = preset_tree(preset)
+        gen = generate_true_data(150, 20, tree, ALPHA0, SIGMA_ALPHA, np.random.default_rng(SEED))
+        ratings = path(f"ratings-{preset}.csv")
+        write_ratings(ratings, gen.ratings.values)
+        for label, extra in FIT_DESIGNS.items():
+            name = f"fit-{preset}-{label}"
+            run(outdir, name, ["fit", "--preset", preset, "--data", ratings,
+                               "--out", path(f"{name}.json"), *extra], codes)
+            run(outdir, f"convert-{preset}-{label}",
+                ["convert", "--preset", preset, "--fit", path(f"{name}.json"),
+                 "--data", ratings, "--out", path(f"convert-{preset}-{label}.csv")], codes)
+
+    separated = path("ratings-separated.csv")
+    write_ratings(separated, np.full((2, 3), 3))
+    run(outdir, "fit-separated", ["fit", "--preset", "fig1-5cat", "--data", separated,
+                                  "--out", path("fit-separated.json")], codes)
+
+    tree = preset_tree("fig1-5cat")
+    gen = generate_true_data(2000, 40, tree, ALPHA0, SIGMA_ALPHA, np.random.default_rng(SEED))
+    truth = estimation.FitResult(
+        alpha_hat=gen.alpha[:, :1], sigma_hat=np.eye(1), eta_hat=gen.eta,
+        log_marginal_lik=0.0, se_alpha=None, converged=True, iterations=0,
+        model=estimation.ModelSpec(tree), tree_digest=tree.digest(),
+    )
+    with open(path("generating-2000x40.json"), "w", encoding="utf-8") as fh:
+        fh.write(estimation.fit_to_json(truth) + "\n")
+    write_ratings(path("ratings-2000x40.csv"), gen.ratings.values)
+    for label, extra in (("data", ["--data", path("ratings-2000x40.csv")]), ("no-data", [])):
+        run(outdir, f"convert-2000x40-{label}",
+            ["convert", "--preset", "fig1-5cat", "--fit", path("generating-2000x40.json"),
+             "--out", path(f"convert-2000x40-{label}.csv"), *extra], codes)
+
+    for label, doc in DESIGNS.items():
+        with open(path(f"design-{label}.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for threads in ("1", "2"):
+            name = f"simulate-{label}-threads{threads}"
+            run(outdir, name, ["simulate", "--design", path(f"design-{label}.json"),
+                               "--out", path(f"{name}.csv"), "--threads", threads], codes)
+
+    with open(path("exit-codes.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(codes) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    write_all(sys.argv[1])
