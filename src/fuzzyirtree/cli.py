@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import operator
 import sys
@@ -43,34 +42,41 @@ def _load_tree(args) -> tree.ResponseTree:
         return tree.parse_tree_spec(fh.read())
 
 
+def _float_or_none(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def _read_ratings(path: str, M: int) -> RatingMatrix:
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh))
         except csv.Error as e:
             raise ValueError(f"{path}: {e}") from None
+    while rows and not rows[-1]:  # blank lines at the end, which np.loadtxt skips too
+        rows.pop()
     if not rows:
         raise ValueError(f"{path}: empty ratings file")
-    start = 0
-    try:
-        [float(v) for v in rows[0]]
-    except ValueError:
-        start = 1  # header row auto-detected
+    # row 1 is a header when none of its cells is a number
+    start = 0 if any(_float_or_none(v) is not None for v in rows[0]) else 1
     if start >= len(rows):
         raise ValueError(f"{path}: no data rows")
+    width = len(rows[start])
     data = []
     for rix, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise ValueError(f"{path}: rows have unequal lengths: row {rix} has width "
+                             f"{len(row)}, row {start + 1} has width {width}")
         vals = []
         for cix, cell in enumerate(row, start=1):
             text = cell.strip()
             if not text:
                 raise ValueError(f"{path}: missing value at row {rix}, column {cix}")
-            try:
-                v = float(text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {text!r} at row {rix}, column {cix}"
-                ) from None
+            v = _float_or_none(text)
+            if v is None:
+                raise ValueError(f"{path}: non-numeric value {text!r} at row {rix}, column {cix}")
             # the range test comes first: it also rejects nan and +-inf,
             # which int() cannot convert
             if not (1 <= v <= M and v == int(v)):
@@ -80,9 +86,6 @@ def _read_ratings(path: str, M: int) -> RatingMatrix:
                 )
             vals.append(int(v))
         data.append(vals)
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: rows have unequal lengths")
     return RatingMatrix(np.array(data, dtype=int), M)
 
 
@@ -116,17 +119,14 @@ def cmd_fit(args) -> int:
 
 
 def _fuzzy_csv(fz: fuzzy.FuzzyRatingMatrix) -> str:
-    out = io.StringIO()
-    out.write("rater,item,y,c,l,r,omega,clamped\n")
+    """One row per cell in rater-major order, formatted column by column."""
     n_raters, n_items = fz.shape
-    for i in range(n_raters):
-        for j in range(n_items):
-            y = "" if fz.y is None else str(int(fz.y[i, j]))
-            out.write(
-                f"{i + 1},{j + 1},{y},{_g6(fz.c[i, j])},{_g6(fz.l[i, j])},"
-                f"{_g6(fz.r[i, j])},{_g6(fz.omega[i, j])},{int(fz.clamped[i, j])}\n"
-            )
-    return out.getvalue()
+    columns = (np.repeat(np.arange(1, n_raters + 1), n_items).tolist(),
+               np.tile(np.arange(1, n_items + 1), n_raters).tolist(),
+               [""] * fz.c.size if fz.y is None else fz.y.ravel().tolist(),
+               *(a.ravel().tolist() for a in (fz.c, fz.l, fz.r, fz.omega, fz.clamped)))
+    row = "%d,%d,%s,%.6g,%.6g,%.6g,%.6g,%d\n"
+    return "rater,item,y,c,l,r,omega,clamped\n" + "".join(map(row.__mod__, zip(*columns)))
 
 
 def cmd_convert(args) -> int:

@@ -547,10 +547,10 @@ def fit_to_json(fitres: FitResult) -> str:
     spec = fitres.model
     chol = np.linalg.cholesky(fitres.sigma_hat)
     doc = {
-        "alpha": [float(a) for a in fitres.alpha_hat.ravel()],
+        "alpha": fitres.alpha_hat.ravel().tolist(),
         "alpha_shape": list(fitres.alpha_hat.shape),
         "sigma_cholesky": chol[np.tril_indices(len(chol))].tolist(),
-        "eta": [[float(v) for v in row] for row in fitres.eta_hat],
+        "eta": fitres.eta_hat.tolist(),
         "loglik": float(fitres.log_marginal_lik),
         "converged": bool(fitres.converged),
         "iterations": int(fitres.iterations),

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyirtree import estimation, generate_true_data, preset_tree
-from fuzzyirtree.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from fuzzyirtree.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, _fuzzy_csv, _read_ratings, main
+from fuzzyirtree.fuzzy import FuzzyRatingMatrix
 
 
 def run_cli(*argv):
@@ -158,7 +159,14 @@ class TestFit:
     @pytest.mark.parametrize("text,message", [
         ("", "empty ratings file"), ("item1,item2\n", "no data rows"),
         ("1,2\n3\n", "rows have unequal lengths"),
-    ], ids=["empty", "header-only", "ragged"])
+        ("\n\n", "empty ratings file"),
+        ("item1,item2\n1,2\n3,4,5\n", "row 3 has width 3, row 2 has width 2"),
+        ("1,2\n\n3,4\n", "row 2 has width 0, row 1 has width 2"),
+        # a first row with a number in it is data, not a header
+        ("1,,3\n1,2,3\n", "missing value at row 1, column 2"),
+        ("1,x,3\n1,2,3\n", "non-numeric value 'x' at row 1, column 2"),
+    ], ids=["empty", "header-only", "ragged", "blank-only", "ragged-after-header",
+            "blank-middle", "first-row-missing", "first-row-non-numeric"])
     def test_unusable_ratings_file(self, text, message, tmp_path, capsys):
         path = tmp_path / "ratings.csv"
         path.write_text(text)
@@ -192,6 +200,16 @@ class TestFit:
                        "--out", str(out), "--no-se")
         assert code == EXIT_OK
         assert json.loads(out.read_text())["eta"] is not None
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4\n", "1,2\n3,4\n\n", "1,2\n3,4\n\n\n", "1,2\n3,4",
+        "item1,item2\n1,2\n3,4\n\n", "a,\n1,2\n3,4\n",
+    ], ids=["plain", "blank-end", "blanks-end", "no-newline", "header-blank-end",
+            "header-empty-cell"])
+    def test_ratings_reader_skips_header_and_blank_end(self, text, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text(text)
+        assert _read_ratings(str(path), 5).values.tolist() == [[1, 2], [3, 4]]
 
     def test_single_rater_separation_warning(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -334,6 +352,65 @@ class TestConvert:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert next(iter(change)) in err  # the message names the field
+
+
+def oracle_fuzzy_csv(fz):
+    """The convert CSV written one cell at a time, field by field."""
+    def g6(x):
+        return f"{x:.6g}"
+
+    lines = ["rater,item,y,c,l,r,omega,clamped\n"]
+    n_raters, n_items = fz.shape
+    for i in range(n_raters):
+        for j in range(n_items):
+            y = "" if fz.y is None else str(int(fz.y[i, j]))
+            lines.append(
+                f"{i + 1},{j + 1},{y},{g6(fz.c[i, j])},{g6(fz.l[i, j])},"
+                f"{g6(fz.r[i, j])},{g6(fz.omega[i, j])},{int(fz.clamped[i, j])}\n"
+            )
+    return "".join(lines)
+
+
+class TestFuzzyCsv:
+    # 3 raters x 5 items, so that swapped rater and item columns differ; the
+    # reals sit at the edges of 6-digit rendering (1e-05, rounding up to the
+    # next digit or power of ten, a tie, exact integers)
+    EDGES = [1e-05, 0.99999995, 4.9999996, 123456.5, 3.0, 1.0, 2.5, 0.2, 4.0000004]
+
+    def matrix(self, with_y):
+        shape = (3, 5)
+        base = np.resize(np.array(self.EDGES), 15).reshape(shape)
+        return FuzzyRatingMatrix(
+            c=base, l=base[::-1] - 1.0, r=np.roll(base, 4) + 2.0,
+            omega=np.resize(np.array([1.0, 0.99999995, 1e-05, 0.2]), 15).reshape(shape),
+            clamped=np.arange(15).reshape(shape) % 4 == 1,
+            y=(np.arange(15).reshape(shape) % 5 + 1) if with_y else None,
+        )
+
+    @pytest.mark.parametrize("with_y", [True, False], ids=["y", "no-y"])
+    def test_matches_the_per_cell_writer(self, with_y):
+        fz = self.matrix(with_y)
+        text = _fuzzy_csv(fz)
+        assert text == oracle_fuzzy_csv(fz)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows[:6]] == [
+            ("1", "1"), ("1", "2"), ("1", "3"), ("1", "4"), ("1", "5"), ("2", "1")]
+        assert rows[0][2:4] == (["1", "1e-05"] if with_y else ["", "1e-05"])
+        assert [r[3] for r in rows[1:5]] == ["1", "5", "123456", "3"]
+        assert {r[7] for r in rows} == {"0", "1"}
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)), with_y=st.booleans(),
+           data=st.data())
+    def test_matches_the_per_cell_writer_on_any_reals(self, shape, with_y, data):
+        n = shape[0] * shape[1]
+        reals = [np.array(data.draw(st.lists(st.floats(width=64), min_size=n, max_size=n)))
+                 .reshape(shape) for _ in range(4)]
+        flags = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.integers(1, 7), min_size=n, max_size=n)))
+        fz = FuzzyRatingMatrix(*reals, clamped=flags.reshape(shape),
+                               y=y.reshape(shape) if with_y else None)
+        assert _fuzzy_csv(fz) == oracle_fuzzy_csv(fz)
 
 
 class TestSimulate:
