@@ -16,7 +16,8 @@ holds the log standard deviations and R = L L' a correlation matrix whose
 Cholesky factor L has unit-norm rows (identity unless unstructured), so
 Sigma is positive definite for every parameter value. The inner Newton
 stops at gradient INNER_TOL or, failing that within INNER_MAX_ITER steps,
-where half the Newton decrement is below INNER_DECREMENT_TOL.
+where half the Newton decrement is below INNER_DECREMENT_TOL. It makes one
+value pass per iterate, and takes a common trait's (d = 1) step by division.
 
 A fit reports only through its `FitResult`, which holds its `ModelSpec`
 and its notes; `fit_from_json` reads a `fit_to_json` artifact back as the
@@ -188,6 +189,14 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
     rater has converged when its gradient is below INNER_TOL or, after
     INNER_MAX_ITER steps, half its Newton decrement is below
     INNER_DECREMENT_TOL; if any rater has not, raises EstimationError.
+
+    There is one value pass per iterate: the candidate that the line search
+    accepts is the next iterate, with its joint values and its linear
+    predictor, from which p is taken. Only a line search that runs out of
+    its 50 halvings values its last, halved step once more. At d = 1 the
+    Newton step is the gradient over the one-entry Hessian instead of a
+    batched 1 x 1 solve; with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
+    the two have the same bits.
     """
     sinv, logdet_sigma = _cov_inverse(sigma)
     alpha_rec = alpha.ravel()[pseudo.cell_index(pseudo.item, alpha.shape[1])]
@@ -201,14 +210,15 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
     idx = np.arange(d)
 
     def per_rater_value(e):
+        """Per-rater joint values at e, and each record's linear predictor."""
         lp = e.ravel()[flat] + alpha_rec
         ll = np.bincount(rater, weights=z * lp - np.logaddexp(0.0, lp), minlength=n_raters)
         quad = np.einsum("id,de,ie->i", e, sinv, e)
-        return ll - 0.5 * quad + prior_const
+        return ll - 0.5 * quad + prior_const, lp
 
-    f_cur = per_rater_value(eta)
+    f_cur, lp = per_rater_value(eta)
     for it in range(INNER_MAX_ITER + 1):
-        p = expit(eta.ravel()[flat] + alpha_rec)
+        p = expit(lp)
         grad = np.bincount(flat, weights=z - p, minlength=size).reshape(n_raters, d)
         grad -= eta @ sinv
         gmax = np.abs(grad).max(axis=1)
@@ -217,7 +227,8 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
         neg_hess[:, idx, idx] += w
         if gmax.max() < INNER_TOL:
             return sinv, flat, eta, neg_hess, f_cur, p
-        step = np.linalg.solve(neg_hess, grad[..., None])[..., 0]
+        step = (grad / neg_hess[:, 0] if d == 1
+                else np.linalg.solve(neg_hess, grad[..., None])[..., 0])
         if it == INNER_MAX_ITER:
             # half of g'H^-1 g is the gain in f that the Newton step promises;
             # below the line search's 1e-12 resolution in f, the mode is found
@@ -227,13 +238,15 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
         scale = np.ones(n_raters)
         for _ in range(50):
             cand = eta + scale[:, None] * step
-            f_new = per_rater_value(cand)
+            f_new, lp_new = per_rater_value(cand)
             worse = f_new < f_cur - INNER_DECREMENT_TOL
             if not worse.any():
                 break
             scale[worse] *= 0.5
-        eta = eta + scale[:, None] * step
-        f_cur = per_rater_value(eta)
+        else:
+            cand = eta + scale[:, None] * step
+            f_new, lp_new = per_rater_value(cand)
+        eta, f_cur, lp = cand, f_new, lp_new
     bad = int(gmax.argmax())
     raise EstimationError(
         f"inner Newton failed to converge for rater {bad} "

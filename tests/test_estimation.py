@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import warnings
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from fuzzyirtree import estimation
 from fuzzyirtree.estimation import (
@@ -191,6 +193,65 @@ def value_hessian_se(fitres, data):
             hess[i, j] = hess[j, i] = hij
     n_alpha = fitres.alpha_hat.size
     return np.sqrt(np.diag(np.linalg.inv(hess))[:n_alpha]).reshape(fitres.alpha_hat.shape)
+
+
+def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, exhausted=None):
+    """The inner Newton as first written, kept as a bit-for-bit oracle: it
+    values every accepted iterate a second time, takes p from a second
+    linear predictor and takes the d = 1 step with a batched 1 x 1 solve.
+    Each line search that runs out of its 50 halvings appends its Newton
+    step number to the list `exhausted`, when one is given."""
+    sinv, logdet_sigma = estimation._cov_inverse(sigma)
+    alpha_rec = alpha.ravel()[pseudo.cell_index(pseudo.item, alpha.shape[1])]
+    d = sinv.shape[0]
+    n_raters = pseudo.I
+    z, rater = pseudo.z, pseudo.rater
+    flat = pseudo.cell_index(rater, d)
+    size = n_raters * d
+    eta = np.zeros((n_raters, d)) if eta0 is None else eta0.copy()
+    prior_const = -0.5 * d * estimation.LOG_2PI - 0.5 * logdet_sigma
+    idx = np.arange(d)
+
+    def per_rater_value(e):
+        lp = e.ravel()[flat] + alpha_rec
+        ll = np.bincount(rater, weights=z * lp - np.logaddexp(0.0, lp), minlength=n_raters)
+        quad = np.einsum("id,de,ie->i", e, sinv, e)
+        return ll - 0.5 * quad + prior_const
+
+    f_cur = per_rater_value(eta)
+    for it in range(estimation.INNER_MAX_ITER + 1):
+        p = expit(eta.ravel()[flat] + alpha_rec)
+        grad = np.bincount(flat, weights=z - p, minlength=size).reshape(n_raters, d)
+        grad -= eta @ sinv
+        gmax = np.abs(grad).max(axis=1)
+        w = np.bincount(flat, weights=p * (1.0 - p), minlength=size).reshape(n_raters, d)
+        neg_hess = np.broadcast_to(sinv, (n_raters, d, d)).copy()
+        neg_hess[:, idx, idx] += w
+        if gmax.max() < estimation.INNER_TOL:
+            return sinv, flat, eta, neg_hess, f_cur, p
+        step = np.linalg.solve(neg_hess, grad[..., None])[..., 0]
+        if it == estimation.INNER_MAX_ITER:
+            if 0.5 * np.einsum("id,id->i", grad, step).max() < estimation.INNER_DECREMENT_TOL:
+                return sinv, flat, eta, neg_hess, f_cur, p
+            break
+        scale = np.ones(n_raters)
+        for _ in range(50):
+            cand = eta + scale[:, None] * step
+            f_new = per_rater_value(cand)
+            worse = f_new < f_cur - estimation.INNER_DECREMENT_TOL
+            if not worse.any():
+                break
+            scale[worse] *= 0.5
+        else:
+            if exhausted is not None:
+                exhausted.append(it)
+        eta = eta + scale[:, None] * step
+        f_cur = per_rater_value(eta)
+    bad = int(gmax.argmax())
+    raise EstimationError(
+        f"inner Newton failed to converge for rater {bad} "
+        f"(gradient norm {gmax[bad]:.3g})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +505,85 @@ class TestLaplaceGradient:
         pseudo = PseudoData.from_ratings(data, fig1)
         with pytest.raises(ValueError, match="1 or N = 4 columns, got"):
             laplace_marginal_loglik(np.zeros((3, alpha_cols)), np.eye(d), pseudo)
+
+
+class TestInnerNewtonOracle:
+    """The kernel gives, bit for bit, what it gives on `oracle_solve_modes`.
+
+    At d = 1 the kernel's step is a division and the oracle's a batched
+    1 x 1 solve; they have the same bits with numpy 2.4.6 and its bundled
+    OpenBLAS 0.3.31, where these tests were checked. A BLAS whose
+    triangular solve multiplies by a reciprocal would fail the d = 1 cases
+    by an ulp."""
+
+    @staticmethod
+    def _case(preset, design, I, J, seed=11):
+        tree = preset_tree(preset)
+        rng = np.random.default_rng(seed)
+        pseudo = PseudoData.from_ratings(
+            RatingMatrix(rng.integers(1, tree.M + 1, size=(I, J)), tree.M), tree
+        )
+        spec = ModelSpec(tree, *design)
+        x = _start_values(pseudo, spec)
+        x = x + rng.normal(scale=0.5, size=x.size)
+        n_alpha = J * spec.item_cols
+        return x[:n_alpha].reshape(J, spec.item_cols), _unpack_cov(x[n_alpha:], spec), pseudo
+
+    @staticmethod
+    def _oracle(monkeypatch, alpha, sigma, pseudo, eta0=None, exhausted=None):
+        """`laplace_marginal_loglik(..., gradient=True)` on `oracle_solve_modes`."""
+        oracle = functools.partial(oracle_solve_modes, exhausted=exhausted)
+        with monkeypatch.context() as m:
+            m.setattr(estimation, "_solve_modes", oracle)
+            return laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0, gradient=True)
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    @pytest.mark.parametrize("shape", [(200, 6), (1, 6), (200, 1)], ids=["200x6", "I=1", "J=1"])
+    @pytest.mark.parametrize("preset", ["fig1-5cat", "fig2-6cat"])
+    @pytest.mark.parametrize("design", DESIGNS, ids="/".join)
+    def test_bit_identical(self, design, preset, shape, start, monkeypatch):
+        alpha, sigma, pseudo = self._case(preset, design, *shape)
+        # a warm start at the modes of nearby easiness, as the fit's objective
+        # starts each evaluation at the modes of the one before
+        eta0 = None if start == "cold" else oracle_solve_modes(alpha + 0.3, sigma, pseudo)[2]
+        want = self._oracle(monkeypatch, alpha, sigma, pseudo, eta0)
+        got = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0, gradient=True)
+        self._assert_same(got, want)
+        assert laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0) == want[0]
+        self._assert_same(
+            estimation._solve_modes(alpha, sigma, pseudo, eta0),
+            oracle_solve_modes(alpha, sigma, pseudo, eta0),
+        )
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize(
+        "sd2,start,converges", [(1e17, -40.0, True), (1e18, 40.0, False)],
+        ids=["recovers", "fails"],
+    )
+    def test_exhausted_halvings(self, d, sd2, start, converges, fig1, monkeypatch):
+        # with a prior variance near 1e17 the curvature is p(1 - p), about
+        # e^-40 at |eta| = 40: the Newton step overshoots by many orders of
+        # magnitude and 50 halvings do not bring it back to a better value
+        pseudo = PseudoData.from_ratings(RatingMatrix(np.array([[4, 4, 5]]), 5), fig1)
+        args = (np.zeros((3, 1)), sd2 * np.eye(d), pseudo)
+        eta0 = np.full((1, d), start)
+        exhausted = []
+        if converges:
+            want = self._oracle(monkeypatch, *args, eta0, exhausted)
+            self._assert_same(laplace_marginal_loglik(*args, eta0=eta0, gradient=True), want)
+        else:
+            with pytest.raises(EstimationError) as want:
+                self._oracle(monkeypatch, *args, eta0, exhausted)
+            with pytest.raises(EstimationError) as got:
+                laplace_marginal_loglik(*args, eta0=eta0, gradient=True)
+            assert str(got.value) == str(want.value)
+        assert exhausted
 
 
 class TestCovarianceMap:
