@@ -280,10 +280,7 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None, gradient=False):
     alpha = np.asarray(alpha, dtype=float).reshape(pseudo.J, -1)
     sinv, flat, eta, neg_hess, values, p = _solve_modes(alpha, sigma, pseudo, eta0)
     d = sinv.shape[0]
-    if d == 1:
-        logdet_h = np.log(neg_hess[:, 0, 0])
-    else:
-        _, logdet_h = np.linalg.slogdet(neg_hess)
+    _, logdet_h = np.linalg.slogdet(neg_hess)
     value = float(np.sum(values + 0.5 * d * LOG_2PI - 0.5 * logdet_h))
     if not gradient:
         return value

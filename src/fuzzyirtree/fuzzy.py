@@ -5,9 +5,10 @@ the M categories, compute its mean and variance, map the pair through the
 Williams moment link (on the unit interval) to get the support endpoints,
 and set the intensification parameter to the sum of squared probabilities.
 
-Each computation has one kernel, vectorized over cells of any leading
-shape: `_moments` and `_link` (joined by `convert_table`, which converts
-each distribution on the last axis), `_membership_rows`, and the Kaufmann
+Each computation has one kernel and one code path, vectorized over cells
+of any leading shape: `_moments` and `_link` (joined by `convert_table`,
+which converts each distribution on the last axis), `_membership_rows`
+(one expression for both sides of the triangle), and the Kaufmann
 reduction `kaufmann_index` (along the last axis, with
 `kaufmann_support_table` scoring each number on its own support).
 `multiverse_moments`, `williams_link`, `convert`, `membership`,
@@ -79,21 +80,18 @@ class Tfn4:
 def _membership_rows(grid, c, l, r, w):
     """Membership at `grid` of the Tfn4s (c, l, r, w); all five broadcast.
 
-    The left branch owns (l, c], the right branch (c, r); each is evaluated
-    only where it applies. The mode evaluates to 1, also when it is an
-    endpoint (l = c or c = r; a degenerate number is the crisp indicator of
-    its mode), and the rest of the endpoints and the outside to 0.
+    One expression 1/(1 + ratio**e) serves both sides: ratio (c-y)/(y-l) and
+    e = w up to the mode, (r-y)/(y-c) and e = -w past it. Points outside the
+    open support (l, r), NaN included, get 0 and the mode gets 1, also as an
+    endpoint (a degenerate number is the crisp indicator of its mode).
     """
-    grid, c, l, r, w = np.broadcast_arrays(grid, c, l, r, w)
-    out = np.zeros(grid.shape)
-    with np.errstate(over="ignore", divide="ignore"):
-        left = (grid > l) & (grid <= c)
-        y = grid[left]
-        out[left] = 1.0 / (1.0 + ((c[left] - y) / (y - l[left])) ** w[left])
-        right = (grid > c) & (grid < r)
-        y = grid[right]
-        out[right] = 1.0 / (1.0 + ((r[right] - y) / (y - c[right])) ** -w[right])
-    out[grid == c] = 1.0
+    grid = np.asarray(grid, dtype=float)
+    left = grid <= c
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        ratio = np.where(left, (c - grid) / (grid - l), (r - grid) / (grid - c))
+        out = np.asarray(1.0 / (1.0 + ratio ** np.where(left, w, -w)))
+    np.copyto(out, 0.0, where=~((grid > l) & (grid < r)))
+    np.copyto(out, 1.0, where=grid == c)
     return out
 
 

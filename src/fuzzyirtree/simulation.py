@@ -49,8 +49,8 @@ class FakingModel:
     def __post_init__(self):
         if not 0.0 <= self.pi <= 1.0:
             raise ValueError("pi must lie in [0, 1]")
-        if self.gamma <= 0 or self.delta <= 0:
-            raise ValueError("gamma and delta must be positive")
+        if not (0 < self.gamma < np.inf and 0 < self.delta < np.inf):
+            raise ValueError("gamma and delta must be positive and finite")
         if self.direction not in FAKING_DIRECTIONS:
             raise ValueError(f"direction must be one of {FAKING_DIRECTIONS}")
 
@@ -115,6 +115,8 @@ def pa_values(est, truth) -> np.ndarray:
     """Per-replication agreement: 1 - ||est - truth||^2 / ||truth||^2."""
     if len(est) != len(truth):
         raise ValueError("est and truth must have the same length")
+    if len(est) == 0:
+        raise ValueError("need at least one replication")
     out = np.empty(len(est))
     for b, (e, t) in enumerate(zip(est, truth)):
         e = np.asarray(e, float)
@@ -157,8 +159,10 @@ class SimDesign:
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, vals)
-        if self.sigma_alpha < 0:
-            raise ValueError("sigma_alpha must be >= 0")
+        if not np.isfinite(self.alpha0):
+            raise ValueError("alpha0 must be finite")
+        if not 0 <= self.sigma_alpha < np.inf:
+            raise ValueError("sigma_alpha must be finite and >= 0")
         for pi in self.pi_levels:  # FakingModel checks pi, gamma, delta, direction
             FakingModel(pi, self.gamma, self.delta, self.direction)
 

@@ -71,16 +71,15 @@ def category_probabilities(tree: ResponseTree, traits, easiness) -> np.ndarray:
 
 
 def category_probability_table(tree: ResponseTree, eta, alpha) -> np.ndarray:
-    """Vectorized category probabilities; eta/alpha broadcast to (..., N)."""
-    lin = np.asarray(eta, float) + np.asarray(alpha, float)
-    p = expit(lin)
-    on = ~np.isnan(tree.map)
-    t = np.nan_to_num(tree.map)
-    out = np.empty(p.shape[:-1] + (tree.M,))
-    for m in range(tree.M):
-        f = np.where(on[m], np.where(t[m] == 1.0, p, 1.0 - p), 1.0)
-        out[..., m] = f.prod(axis=-1)
-    return out
+    """Vectorized category probabilities; eta/alpha broadcast to (..., N).
+
+    Each category is the product of its row of one (..., M, N) branch table:
+    p where the map has 1, 1 - p where it has 0, and 1 where it has NA.
+    """
+    p = expit(np.asarray(eta, float) + np.asarray(alpha, float))[..., None, :]
+    f = np.where(tree.map == 1.0, p, 1.0 - p)
+    np.copyto(f, 1.0, where=np.isnan(tree.map))
+    return f.prod(axis=-1)
 
 
 @dataclass

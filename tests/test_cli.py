@@ -477,15 +477,23 @@ class TestSimulate:
         assert code == EXIT_DOMAIN
         assert f"design field '{key}' must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pi", [[0.0, float("nan")], [0.0, 1.5]], ids=["nan", "1.5"])
-    def test_bad_faking_level_runs_nothing(self, pi, tmp_path, capsys):
-        # json writes NaN as a bare literal, which the design reader accepts
+    @pytest.mark.parametrize("key,value,message", [
+        ("pi", [0.0, float("nan")], "pi must lie in [0, 1]"),
+        ("pi", [0.0, 1.5], "pi must lie in [0, 1]"),
+        ("gamma", float("nan"), "gamma and delta must be positive and finite"),
+        ("delta", float("inf"), "gamma and delta must be positive and finite"),
+        ("alpha0", float("nan"), "alpha0 must be finite"),
+        ("sigma_alpha", float("nan"), "sigma_alpha must be finite and >= 0"),
+    ], ids=["nan", "1.5", "gamma-nan", "delta-inf", "alpha0-nan", "sigma_alpha-nan"])
+    def test_bad_faking_level_runs_nothing(self, key, value, message, tmp_path, capsys):
+        # json writes NaN and Infinity as bare literals, which the design
+        # reader accepts; a bad faking level or generating value runs no study
         path = self._design(tmp_path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), "pi": pi}))
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         out = tmp_path / "x.csv"
         code = run_cli("simulate", "--design", str(path), "--out", str(out))
         assert code == EXIT_DOMAIN
-        assert "pi must lie in [0, 1]" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_inline_tree_object(self, tmp_path):

@@ -254,6 +254,16 @@ def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, exhausted=None):
     )
 
 
+def oracle_one_trait_value(alpha, sigma, pseudo, eta0=None):
+    """The Laplace value of a common trait (d = 1) as it was before the
+    kernel took `slogdet` for every d, kept as a bit-for-bit oracle: the
+    log-determinant of each 1 x 1 Hessian is the log of its one entry."""
+    alpha = np.asarray(alpha, dtype=float).reshape(pseudo.J, -1)
+    _, _, _, neg_hess, values, _ = estimation._solve_modes(alpha, sigma, pseudo, eta0)
+    assert neg_hess.shape[1:] == (1, 1)
+    return float(np.sum(values + 0.5 * estimation.LOG_2PI - 0.5 * np.log(neg_hess[:, 0, 0])))
+
+
 # ---------------------------------------------------------------------------
 # pseudo-data expansion
 # ---------------------------------------------------------------------------
@@ -514,7 +524,9 @@ class TestInnerNewtonOracle:
     1 x 1 solve; they have the same bits with numpy 2.4.6 and its bundled
     OpenBLAS 0.3.31, where these tests were checked. A BLAS whose
     triangular solve multiplies by a reciprocal would fail the d = 1 cases
-    by an ulp."""
+    by an ulp. At d = 1 the value also has the bits of
+    `oracle_one_trait_value`, which takes the log of the one Hessian entry
+    where the kernel takes `slogdet`."""
 
     @staticmethod
     def _case(preset, design, I, J, seed=11):
@@ -560,6 +572,18 @@ class TestInnerNewtonOracle:
             estimation._solve_modes(alpha, sigma, pseudo, eta0),
             oracle_solve_modes(alpha, sigma, pseudo, eta0),
         )
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    @pytest.mark.parametrize("shape", [(200, 6), (1, 6), (200, 1)], ids=["200x6", "I=1", "J=1"])
+    @pytest.mark.parametrize("preset", ["fig1-5cat", "fig2-6cat"])
+    @pytest.mark.parametrize("design", [d for d in DESIGNS if d[0] == "common"], ids="/".join)
+    def test_one_trait_logdet(self, design, preset, shape, start):
+        alpha, sigma, pseudo = self._case(preset, design, *shape)
+        eta0 = None if start == "cold" else oracle_solve_modes(alpha + 0.3, sigma, pseudo)[2]
+        want = oracle_one_trait_value(alpha, sigma, pseudo, eta0)
+        assert np.array_equal(laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0), want)
+        got = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0, gradient=True)[0]
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize(

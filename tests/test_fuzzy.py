@@ -8,6 +8,7 @@ from fuzzyirtree.fuzzy import (
     FuzzyRatingMatrix,
     MultiverseDistribution,
     Tfn4,
+    _membership_rows,
     convert,
     convert_all,
     convert_table,
@@ -48,6 +49,23 @@ def oracle_membership(f, y):
         right = (y > f.c) & (y < f.r)
         out[right] = 1.0 / (1.0 + ((f.r - y[right]) / (y[right] - f.c)) ** (-f.omega))
     out[y == f.c] = 1.0
+    return out
+
+
+def oracle_membership_rows(grid, c, l, r, w):
+    """The membership kernel as it was before it became one expression,
+    kept as a bit-for-bit oracle: it gathers the left branch (l, c] and the
+    right branch (c, r) apart and scatters each back."""
+    grid, c, l, r, w = np.broadcast_arrays(grid, c, l, r, w)
+    out = np.zeros(grid.shape)
+    with np.errstate(over="ignore", divide="ignore"):
+        left = (grid > l) & (grid <= c)
+        y = grid[left]
+        out[left] = 1.0 / (1.0 + ((c[left] - y) / (y - l[left])) ** w[left])
+        right = (grid > c) & (grid < r)
+        y = grid[right]
+        out[right] = 1.0 / (1.0 + ((r[right] - y) / (y - c[right])) ** -w[right])
+    out[grid == c] = 1.0
     return out
 
 
@@ -166,6 +184,85 @@ class TestMembership:
             Tfn4(2.0, 1.0, 3.0, 0.0)
         with pytest.raises(ValueError, match="finite"):
             Tfn4(np.nan, 1.0, 3.0, 1.0)
+
+
+def _membership_cases(n, seed=0):
+    """n random (y, c, l, r, w) cells. A twelfth each has y at l, c or r, at
+    one of their four inner 1-ulp neighbours, or NaN, +inf or -inf; the rest
+    are uniform over [l - 0.5, r + 0.5]. A quarter each has l = c, c = r or
+    both (degenerate)."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(1.0, 5.0, n)
+    l = c - rng.exponential(1.0, n)
+    r = c + rng.exponential(1.0, n)
+    w = rng.uniform(0.05, 5.0, n)
+    kind = rng.integers(0, 4, n)
+    l = np.where(kind % 2 == 1, c, l)  # kinds 1 and 3
+    r = np.where(kind >= 2, c, r)      # kinds 2 and 3
+    special = (l, c, r, np.nextafter(l, np.inf), np.nextafter(c, -np.inf),
+               np.nextafter(c, np.inf), np.nextafter(r, -np.inf),
+               np.full(n, np.nan), np.full(n, np.inf), np.full(n, -np.inf))
+    pick = rng.integers(0, 12, n)
+    y = np.choose(np.minimum(pick, 10), (*special, rng.uniform(l - 0.5, r + 0.5)))
+    return y, c, l, r, w
+
+
+class TestMembershipKernelOracle:
+    """`_membership_rows` gives, bit for bit, what `oracle_membership_rows`
+    gives: both compute each point with the same division and pow."""
+
+    @staticmethod
+    def _assert_same(*args):
+        got, want = _membership_rows(*args), oracle_membership_rows(*args)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_random_and_edge_points(self):
+        self._assert_same(*_membership_cases(400_000))
+
+    def test_zero_dimensional_calls(self):
+        for y, c, l, r, w in zip(*_membership_cases(3000, seed=1)):
+            self._assert_same(y, c, l, r, w)
+            self._assert_same(float(y), float(c), float(l), float(r), float(w))
+            assert membership(Tfn4(c, l, r, w), y) == oracle_membership_rows(y, c, l, r, w)
+
+    @pytest.mark.parametrize("M", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("universe", ["support", "scale"])
+    def test_converted_tables(self, M, universe):
+        p = np.random.default_rng(M).dirichlet(np.full(M, 0.7), size=(40, 9))
+        c, l, r, w, _ = (v[..., None] for v in convert_table(p))
+        ticks = np.linspace(0.0, 1.0, 201)
+        grid = l + (r - l) * ticks if universe == "support" else 1.0 + (M - 1) * ticks
+        self._assert_same(grid, c, l, r, w)
+
+    @pytest.mark.parametrize("shapes", [
+        ((), (), (), (), ()),
+        ((201,), (), (), (), ()),
+        ((201,), (6, 1), (6, 1), (6, 1), (6, 1)),
+        ((6, 201), (6, 1), (6, 1), (6, 1), (6, 1)),
+        ((3, 6, 201), (3, 6, 1), (3, 6, 1), (3, 6, 1), (3, 6, 1)),
+        ((201,), (6, 1), (), (), (2, 1, 1)),
+        ((1, 201), (6, 1), (6, 1), (1, 1), (6, 201)),
+    ], ids=["0-d", "grid", "rows", "row-grids", "3-d", "mixed", "w-full"])
+    def test_every_broadcast_shape(self, shapes):
+        rng = np.random.default_rng(len(str(shapes)))
+        c = 3.0 + rng.uniform(-0.5, 0.5, shapes[1])
+        l = 3.0 - rng.uniform(0.6, 1.5, shapes[2])
+        r = 3.0 + rng.uniform(0.6, 1.5, shapes[3])
+        w = rng.uniform(0.2, 3.0, shapes[4])
+        grid = rng.uniform(1.0, 5.0, shapes[0])
+        self._assert_same(grid, c, l, r, w)
+
+    @given(
+        c=st.floats(-10, 10), dl=st.floats(0, 5), dr=st.floats(0, 5),
+        w=st.floats(1e-3, 50), y=st.one_of(st.floats(-20, 20), st.floats(allow_nan=True)),
+    )
+    @settings(max_examples=300)
+    def test_hypothesis(self, c, dl, dr, w, y):
+        l, r = c - dl, c + dr
+        grid = np.array([y, l, c, r, np.nextafter(l, c), np.nextafter(c, l),
+                         np.nextafter(c, r), np.nextafter(r, c), (l + c) / 2, (c + r) / 2])
+        self._assert_same(grid, c, l, r, w)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ class TestFakingModel:
             FakingModel(pi=1.5)
         with pytest.raises(ValueError, match="positive"):
             FakingModel(pi=0.5, gamma=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                FakingModel(pi=0.5, delta=bad)
         with pytest.raises(ValueError, match="direction"):
             FakingModel(pi=0.5, direction="sideways")
 
@@ -177,6 +180,15 @@ class TestPaIndex:
         with pytest.raises(ValueError, match="length"):
             pa_values([np.ones((2, 2))], [np.ones((2, 2))] * 2)
 
+    def test_no_replication(self):
+        # the mean of no agreement values would be a warning and a nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one replication"):
+                pa_values([], [])
+            with pytest.raises(ValueError, match="at least one replication"):
+                pa_index([], [])
+
     def test_scale_origin(self, rng):
         # relabelling the categories 1..M as 0..M-1 shifts every mode by one:
         # the uncentered index moves with the origin, the centred one does not
@@ -202,8 +214,15 @@ class TestSimDesign:
         ({"pi_levels": (0.0, float("nan"))}, "pi must lie"),
         ({"pi_levels": (0.0, 1.5)}, "pi must lie"),
         ({"gamma": 0.0}, "gamma and delta"),
+        ({"gamma": float("nan")}, "gamma and delta must be positive and finite"),
+        ({"delta": float("inf")}, "gamma and delta must be positive and finite"),
+        ({"alpha0": float("nan")}, "alpha0 must be finite"),
+        ({"alpha0": float("-inf")}, "alpha0 must be finite"),
+        ({"sigma_alpha": float("nan")}, "sigma_alpha must be finite"),
+        ({"sigma_alpha": float("inf")}, "sigma_alpha must be finite"),
         ({"direction": "sideways"}, "direction"),
-    ], ids=["pi-nan", "pi-1.5", "gamma", "direction"])
+    ], ids=["pi-nan", "pi-1.5", "gamma", "gamma-nan", "delta-inf", "alpha0-nan",
+            "alpha0-inf", "sigma_alpha-nan", "sigma_alpha-inf", "direction"])
     def test_faking_parameters_checked_up_front(self, bad, match, fig1):
         # a level that only a replication would reject must not let the
         # study start; the pi = 0 cell never builds a FakingModel

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from fuzzyirtree.tree import (
     NA,
@@ -24,6 +25,19 @@ ONE_NODE = ResponseTree(M=2, N=1, map=[[0], [1]], node_labels=("a",))
 
 def branch_probability(eta, alpha):
     return category_probabilities(ONE_NODE, [eta], [alpha])[1]
+
+
+def oracle_category_probability_table(tree, eta, alpha):
+    """The category table as it was before it became one broadcast product,
+    kept as a bit-for-bit oracle: one product per category, in a loop."""
+    p = expit(np.asarray(eta, float) + np.asarray(alpha, float))
+    on = ~np.isnan(tree.map)
+    t = np.nan_to_num(tree.map)
+    out = np.empty(p.shape[:-1] + (tree.M,))
+    for m in range(tree.M):
+        f = np.where(on[m], np.where(t[m] == 1.0, p, 1.0 - p), 1.0)
+        out[..., m] = f.prod(axis=-1)
+    return out
 
 
 class TestBranchProbability:
@@ -109,6 +123,47 @@ class TestCategoryProbabilities:
             category_probabilities(fig1, [0.0, 0.0], [0.0] * fig1.N)
         with pytest.raises(ValueError, match="length"):
             category_probabilities(fig1, [0.0] * fig1.N, [0.0] * (fig1.N + 1))
+
+
+class TestCategoryTableOracle:
+    """`category_probability_table` gives, bit for bit, what
+    `oracle_category_probability_table` gives."""
+
+    @staticmethod
+    def _assert_same(tree, eta, alpha):
+        got = category_probability_table(tree, eta, alpha)
+        want = oracle_category_probability_table(tree, eta, alpha)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lead", [(), (100,), (150, 20), (5000, 40)],
+                             ids=lambda s: "x".join(map(str, s)) or "vector")
+    @pytest.mark.parametrize("name", ["fig1-5cat", "fig2-6cat"])
+    def test_table_shapes(self, name, lead):
+        tree = preset_tree(name)
+        rng = np.random.default_rng(len(lead))
+        shape = (*lead, tree.N)
+        self._assert_same(tree, rng.normal(0, 2, shape), rng.normal(0, 2, shape))
+
+    @pytest.mark.parametrize("name", ["fig1-5cat", "fig2-6cat"])
+    def test_broadcast_shapes(self, name):
+        # the layouts of generate_true_data and convert_all: I x 1 x N traits
+        # against 1 x J x N easiness, and a common column broadcast over nodes
+        tree = preset_tree(name)
+        rng = np.random.default_rng(7)
+        traits = rng.normal(size=(150, 1, tree.N))
+        self._assert_same(tree, traits, rng.normal(size=(1, 20, tree.N)))
+        self._assert_same(tree, traits, rng.normal(size=(1, 20, 1)))
+        self._assert_same(tree, rng.normal(size=tree.N), 0.0)
+
+    @settings(max_examples=100)
+    @given(data=st.data(), name=st.sampled_from(["fig1-5cat", "fig2-6cat"]))
+    def test_hypothesis(self, data, name):
+        tree = preset_tree(name)
+        wide = st.floats(-800, 800, allow_nan=False)
+        eta = data.draw(st.lists(wide, min_size=tree.N, max_size=tree.N))
+        alpha = data.draw(st.lists(wide, min_size=tree.N, max_size=tree.N))
+        self._assert_same(tree, eta, alpha)
 
 
 class TestValidateTree:

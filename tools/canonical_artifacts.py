@@ -17,7 +17,11 @@ command's exit code. The outputs:
 - a 2000 x 40 convert of an artifact written from the generating
   parameters, with and without `--data`;
 - the `simulate` CSV and stdout of two designs (`DESIGNS`) at `--threads`
-  1 and 2.
+  1 and 2;
+- `validate-tree` of both presets;
+- `eval` of one membership function at its endpoints, its mode and a point
+  on each side, and on the `--grid` of three curvatures and of numbers
+  whose mode is an endpoint or that are degenerate (`EVALS`).
 """
 from __future__ import annotations
 
@@ -49,6 +53,15 @@ DESIGNS = {
     # the README's example factorial at B = 2
     "readme-factorial": {"I": [50, 150], "J": [10, 20], "pi": [0, 0.25, 0.5, 0.75],
                          "B": 2, "tree": "fig1-5cat", "seed": 2024},
+}
+
+TFN = ["--c", "3", "--l", "2", "--r", "4.5"]
+EVALS = {
+    **{f"y{y}": [*TFN, "--omega", "0.6", "--y", y] for y in ("2", "2.4", "3", "3.7", "4.5")},
+    **{f"grid-omega{w}": [*TFN, "--omega", w, "--grid"] for w in ("0.3", "1", "3")},
+    "grid-l-is-c": ["--c", "3", "--l", "3", "--r", "4.5", "--omega", "0.6", "--grid"],
+    "grid-c-is-r": ["--c", "3", "--l", "2", "--r", "3", "--omega", "0.6", "--grid"],
+    "grid-degenerate": ["--c", "3", "--l", "3", "--r", "3", "--grid"],
 }
 
 
@@ -115,6 +128,11 @@ def write_all(outdir):
             name = f"simulate-{label}-threads{threads}"
             run(outdir, name, ["simulate", "--design", path(f"design-{label}.json"),
                                "--out", path(f"{name}.csv"), "--threads", threads], codes)
+
+    for preset in PRESETS:
+        run(outdir, f"validate-tree-{preset}", ["validate-tree", "--preset", preset], codes)
+    for label, argv in EVALS.items():
+        run(outdir, f"eval-{label}", ["eval", *argv], codes)
 
     with open(path("exit-codes.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(codes) + "\n")
