@@ -50,7 +50,14 @@ def _float_or_none(text: str) -> float | None:
 
 
 def _read_ratings(path: str, M: int) -> RatingMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a ratings CSV, one row per rater, cells in 1..M; a UTF-8 BOM is dropped.
+
+    Row 1 is a header when none of its cells is a number, and blank lines at
+    the end are skipped. Each distinct cell text is parsed once. Rows are
+    checked in order, each row's width before its cells, so an error names
+    the first faulty cell.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             rows = list(csv.reader(fh))
         except csv.Error as e:
@@ -59,34 +66,32 @@ def _read_ratings(path: str, M: int) -> RatingMatrix:
         rows.pop()
     if not rows:
         raise ValueError(f"{path}: empty ratings file")
-    # row 1 is a header when none of its cells is a number
     start = 0 if any(_float_or_none(v) is not None for v in rows[0]) else 1
     if start >= len(rows):
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[start])
-    data = []
-    for rix, row in enumerate(rows[start:], start=start + 1):
+    data, width = rows[start:], len(rows[start])
+
+    def judge(cell):  # the cell's rating, or its fault as a function of the position
+        text = cell.strip()
+        v = _float_or_none(text)
+        if not text:
+            return lambda at: f"missing value at {at}"
+        if v is None:
+            return lambda at: f"non-numeric value {text!r} at {at}"
+        if not (1 <= v <= M and v == int(v)):  # first: int() cannot convert nan and +-inf
+            return lambda at: f"rating must be an integer in 1..{M} ({at}, got {text})"
+        return int(v)
+
+    value = {cell: judge(cell) for cell in set().union(*data)}
+    faulty = {cell for cell, v in value.items() if callable(v)}
+    for rix, row in enumerate(data, start=start + 1):
         if len(row) != width:
             raise ValueError(f"{path}: rows have unequal lengths: row {rix} has width "
                              f"{len(row)}, row {start + 1} has width {width}")
-        vals = []
-        for cix, cell in enumerate(row, start=1):
-            text = cell.strip()
-            if not text:
-                raise ValueError(f"{path}: missing value at row {rix}, column {cix}")
-            v = _float_or_none(text)
-            if v is None:
-                raise ValueError(f"{path}: non-numeric value {text!r} at row {rix}, column {cix}")
-            # the range test comes first: it also rejects nan and +-inf,
-            # which int() cannot convert
-            if not (1 <= v <= M and v == int(v)):
-                raise ValueError(
-                    f"{path}: rating must be an integer in 1..{M} "
-                    f"(row {rix}, column {cix}, got {text})"
-                )
-            vals.append(int(v))
-        data.append(vals)
-    return RatingMatrix(np.array(data, dtype=int), M)
+        if not faulty.isdisjoint(row):
+            cix, cell = next((cix, c) for cix, c in enumerate(row, start=1) if c in faulty)
+            raise ValueError(f"{path}: " + value[cell](f"row {rix}, column {cix}"))
+    return RatingMatrix(np.array([list(map(value.__getitem__, row)) for row in data], int), M)
 
 
 def cmd_validate_tree(args) -> int:
@@ -118,15 +123,71 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+_POW10 = 10 ** np.arange(11)
+# k = 0..999 as NUL-padded 4-byte words: "%03d"; "%d"; "%03d" less trailing zeros;
+# and "." before the first and the third ("" for k = 0); NULs are dropped at the end
+_D3, _S3, _T3, _PD3, _PT3 = (
+    np.array([fmt(b"%03d" % k) for k in range(1000)], "S4").view(np.uint32) for fmt in (
+        bytes, lambda d: d.lstrip(b"0") or b"0", lambda d: d.rstrip(b"0"),
+        lambda d: b"." + d, lambda d: (b"." + d).rstrip(b"0").rstrip(b".")))
+
+
+def _g6_words(x: np.ndarray) -> np.ndarray:
+    """(x.size, width) uint8 rows whose bytes, without NULs, are '%.6g' % v of 1-D x.
+
+    In fixed notation v is n * 10**(e - 5), n = rint(v * 10**(5 - e)), e its exponent:
+    one rounding, as the powers of ten are exact. Python formats the other v, and
+    those within 1e-6 of a rounding tie, which that one rounding could have moved.
+    """
+    ok = (x >= 1e-5) & (x < 1e6)  # nan and +-inf fail both
+    xs = np.where(ok, x, 1.0)
+    e = np.minimum(np.floor(np.log10(xs)), 5).astype(np.intp)  # within 1 of the exponent
+    s = xs * _POW10[5 - e]
+    e += (s >= 1e6).astype(np.intp) - (s < 1e5)
+    s = xs * _POW10[5 - e]
+    n = np.rint(s)  # 1e6 at e = 5 is "1e+06"
+    fast = ok & (e >= -4) & ((e < 5) | (n < 1e6)) & (np.abs(s - n) < 0.5 - 1e-6)
+    ip, fr = np.divmod(np.where(fast, n, 0).astype(np.int64), _POW10[5 - e])
+    fr *= _POW10[4 + e]  # the 9 fraction digits (0, like ip, where Python formats)
+    hi, lo, f0, f1, f2 = ip // 1000, ip % 1000, fr // 10**6, fr // 1000 % 1000, fr % 1000
+    words = np.stack([np.where(hi > 0, _S3[hi], 0), np.where(hi > 0, _D3[lo], _S3[lo]),
+                      np.where((f1 | f2) > 0, _PD3[f0], _PT3[f0]),
+                      np.where(f2 > 0, _D3[f1], _T3[f1]), _T3[f2]], axis=1)
+    bad = np.flatnonzero(~fast)
+    text = np.array(["%.6g" % v for v in x[bad].tolist()], "S20")
+    words[bad] = text.view(np.uint32).reshape(-1, 5)
+    return np.ascontiguousarray(words[:, words.any(axis=0)]).view(np.uint8)
+
+
+def _label_rows(values, fmt: str) -> np.ndarray:
+    """(values.size, width) uint8 rows of fmt % v, NUL-padded; each distinct v formatted once."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    labels = np.array([fmt % v for v in uniq.tolist()], "S")
+    return labels.view(np.uint8).reshape(uniq.size, labels.itemsize)[inverse.ravel()]
+
+
 def _fuzzy_csv(fz: fuzzy.FuzzyRatingMatrix) -> str:
-    """One row per cell in rater-major order, formatted column by column."""
+    """The convert CSV, one row per cell in rater-major order; each real v as '%.6g' % v.
+
+    A block of about 2**14 cells, small enough for the allocator to reuse its
+    temporaries, is one byte table of NUL-padded fields, NULs then dropped.
+    """
     n_raters, n_items = fz.shape
-    columns = (np.repeat(np.arange(1, n_raters + 1), n_items).tolist(),
-               np.tile(np.arange(1, n_items + 1), n_raters).tolist(),
-               [""] * fz.c.size if fz.y is None else fz.y.ravel().tolist(),
-               *(a.ravel().tolist() for a in (fz.c, fz.l, fz.r, fz.omega, fz.clamped)))
-    row = "%d,%d,%s,%.6g,%.6g,%.6g,%.6g,%d\n"
-    return "rater,item,y,c,l,r,omega,clamped\n" + "".join(map(row.__mod__, zip(*columns)))
+    raters, items = (_label_rows(np.arange(1, k + 1), "%d") for k in fz.shape)
+    step = 2 ** 14 // max(n_items, 1) or 1
+    text = ["rater,item,y,c,l,r,omega,clamped\n"]
+    for block in (slice(i, i + step) for i in range(0, n_raters, step)):
+        cells = fz.c[block].size
+        fields = [np.repeat(raters[block], n_items, 0), np.tile(items, (len(raters[block]), 1)),
+                  np.zeros((cells, 0), np.uint8) if fz.y is None
+                  else _label_rows(fz.y[block], "%s"),
+                  *(_g6_words(a[block].ravel()) for a in (fz.c, fz.l, fz.r, fz.omega)),
+                  _label_rows(fz.clamped[block], "%d")]
+        comma = np.full((cells, 1), ord(","), np.uint8)
+        table = np.hstack([part for field in fields for part in (field, comma)])
+        table[:, -1] = ord("\n")
+        text.append(table.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
 
 
 def cmd_convert(args) -> int:

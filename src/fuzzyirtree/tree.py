@@ -73,13 +73,12 @@ def category_probabilities(tree: ResponseTree, traits, easiness) -> np.ndarray:
 def category_probability_table(tree: ResponseTree, eta, alpha) -> np.ndarray:
     """Vectorized category probabilities; eta/alpha broadcast to (..., N).
 
-    Each category is the product of its row of one (..., M, N) branch table:
-    p where the map has 1, 1 - p where it has 0, and 1 where it has NA.
+    Each category is the product of its row of one (..., M, N) branch table, taken
+    from the (..., 3N) row (1 - p, p, 1): p at a 1 of the map, 1 - p at 0, 1 at NA.
     """
-    p = expit(np.asarray(eta, float) + np.asarray(alpha, float))[..., None, :]
-    f = np.where(tree.map == 1.0, p, 1.0 - p)
-    np.copyto(f, 1.0, where=np.isnan(tree.map))
-    return f.prod(axis=-1)
+    p = expit(np.asarray(eta, float) + np.asarray(alpha, float))
+    index = np.arange(tree.N) + tree.N * np.nan_to_num(tree.map, nan=2.0).astype(np.intp)
+    return np.concatenate([1.0 - p, p, np.ones_like(p)], axis=-1).take(index, -1).prod(-1)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -222,6 +223,102 @@ class TestFit:
         assert out.exists()
 
 
+def oracle_read_ratings(path, M):
+    """The ratings reader parsing one cell at a time, in file order."""
+    def float_or_none(text):
+        try:
+            return float(text)
+        except ValueError:
+            return None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as e:
+            raise ValueError(f"{path}: {e}") from None
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        raise ValueError(f"{path}: empty ratings file")
+    start = 0 if any(float_or_none(v) is not None for v in rows[0]) else 1
+    if start >= len(rows):
+        raise ValueError(f"{path}: no data rows")
+    width = len(rows[start])
+    data = []
+    for rix, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise ValueError(f"{path}: rows have unequal lengths: row {rix} has width "
+                             f"{len(row)}, row {start + 1} has width {width}")
+        vals = []
+        for cix, cell in enumerate(row, start=1):
+            text = cell.strip()
+            if not text:
+                raise ValueError(f"{path}: missing value at row {rix}, column {cix}")
+            v = float_or_none(text)
+            if v is None:
+                raise ValueError(f"{path}: non-numeric value {text!r} at row {rix}, column {cix}")
+            if not (1 <= v <= M and v == int(v)):
+                raise ValueError(
+                    f"{path}: rating must be an integer in 1..{M} "
+                    f"(row {rix}, column {cix}, got {text})"
+                )
+            vals.append(int(v))
+        data.append(vals)
+    return np.array(data, dtype=int)
+
+
+# cells the reader must judge like the per-cell reader: padded, float-style,
+# signed, quoted, a non-ASCII digit, non-finite, out of range, empty, and texts
+# that are format templates
+ORACLE_CELLS = [" 3 ", "3.0", "+3", "3e0", '"3"', "٣", "nan", "inf", "0", "6", "",
+                "{0}", "%s"]
+
+
+def oracle_corpus():
+    for a in ORACLE_CELLS:
+        yield f"1,2,3\n4,{a},5\n1,1,1\n"
+        yield f"item1,item2\n{a},2\n\n\n"  # a header row and blank lines at the end
+        yield f"1,2\n3\n{a},4\n"  # a ragged row before the cell
+        yield f"{a},2\n3,4\n5\n"  # and after it
+        for b in ORACLE_CELLS:
+            yield f"1,{a},{b},2\n"  # two cells of one row
+            yield f"{b},1\n2,{a}\r\n"  # and of two rows
+
+
+class TestReadRatings:
+    def test_matches_the_per_cell_reader(self, tmp_path):
+        path = str(tmp_path / "ratings.csv")
+        checked = errors = 0
+        for text in oracle_corpus():
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                want = oracle_read_ratings(path, 5).tolist()
+            except ValueError as e:
+                want = str(e)
+                errors += 1
+            try:
+                got = _read_ratings(path, 5).values.tolist()
+            except ValueError as e:
+                got = str(e)
+            assert got == want, text
+            checked += 1
+        assert checked == 4 * 13 + 2 * 13 * 13 and 0 < errors < checked
+
+    @pytest.mark.parametrize("text,values", [
+        ("1,2,3\n4,5,1", [[1, 2, 3], [4, 5, 1]]),
+        ("item1,item2\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+    ], ids=["bom", "bom-header"])
+    def test_utf8_byte_order_mark(self, text, values, tmp_path, capsys):
+        # a CSV saved as Excel's "CSV UTF-8" starts with the byte-order mark
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert _read_ratings(str(path), 5).values.tolist() == values
+        code = run_cli("fit", "--preset", "fig1-5cat", "--data", str(path),
+                       "--out", str(tmp_path / "fit.json"), "--no-se")
+        assert code == EXIT_OK, capsys.readouterr().err
+
+
 # (id, artifact change) pairs of a field whose length does not fit the
 # model: the 4 items of the fit below, or d(d + 1)/2 = 1 Cholesky entries
 WRONG_LENGTHS = [
@@ -411,6 +508,45 @@ class TestFuzzyCsv:
         fz = FuzzyRatingMatrix(*reals, clamped=flags.reshape(shape),
                                y=y.reshape(shape) if with_y else None)
         assert _fuzzy_csv(fz) == oracle_fuzzy_csv(fz)
+
+    @staticmethod
+    def hard_reals(rng, n):
+        """n reals that stress 6-digit rendering, in random order."""
+        decades = 10.0 ** rng.uniform(-5, 7, n // 4)  # every decade from 1e-5 to 1e7
+        # nearest doubles to 6-digit rounding ties and a few ulps either side
+        ties = ((rng.integers(100_000, 1_000_000, n // 40) + 0.5)
+                * 10.0 ** rng.integers(-10, 2, n // 40))
+        steps = [ties]
+        for direction in (0.0, np.inf):
+            near = ties
+            for _ in range(3):
+                near = np.nextafter(near, direction)
+                steps.append(near)
+        # just below each power of ten: a few ulps, and 999999.5 at every scale
+        powers = 10.0 ** np.arange(-6, 8)
+        below = [powers * 0.9999995, powers * 0.99999949]
+        near = powers
+        for _ in range(3):
+            near = np.nextafter(near, 0.0)
+            below.append(near)
+        special = [0.0, -0.0, 5e-324, 2.2e-308, 1e-310, np.nan, np.inf, -np.inf, 1e308]
+        reals = np.concatenate([decades, *steps, *below, special])
+        reals = np.concatenate([reals, -reals, rng.uniform(0.2, 6.0, n)])[:n]
+        assert reals.size == n
+        return rng.permutation(reals)
+
+    def test_matches_the_per_cell_writer_at_scale(self):
+        # 10,000 raters, so rater labels reach 5 digits; 100,000 cells
+        rng = np.random.default_rng(20240614)
+        shape = (10_000, 10)
+        n = shape[0] * shape[1]
+        reals = [self.hard_reals(rng, n).reshape(shape) for _ in range(4)]
+        fz = FuzzyRatingMatrix(*reals, clamped=rng.random(shape) < 0.3,
+                               y=rng.integers(1, 8, shape))
+        text = _fuzzy_csv(fz)
+        assert text == oracle_fuzzy_csv(fz)
+        assert text.endswith("\n10000,10,%d,%s,%s,%s,%s,%d\n" % (
+            fz.y[-1, -1], *("%.6g" % a[-1, -1] for a in reals), fz.clamped[-1, -1]))
 
 
 class TestSimulate:

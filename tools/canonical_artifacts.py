@@ -14,8 +14,11 @@ command's exit code. The outputs:
   ratings from the generating model, for fig1-5cat and fig2-6cat under five
   designs (`FIT_DESIGNS`);
 - the fit of two raters who both answer 3, 3, 3 (separation notes);
+- the fit and convert of the fig1-5cat ratings rewritten with a header row,
+  padded cells and cells written as `3.0`;
 - a 2000 x 40 convert of an artifact written from the generating
-  parameters, with and without `--data`;
+  parameters, with and without `--data`, and a 12000 x 2 one with
+  `--data`, whose rater labels reach five digits;
 - the `simulate` CSV and stdout of two designs (`DESIGNS`) at `--threads`
   1 and 2;
 - `validate-tree` of both presets;
@@ -69,6 +72,26 @@ def write_ratings(path, y):
     np.savetxt(path, y, fmt="%d", delimiter=",")
 
 
+def write_untidy_ratings(path, y):
+    """y under an item header, every third cell padded and every third as `3.0`."""
+    forms = ("{}", " {} ", "{}.0")
+    lines = [",".join(f"item{j + 1}" for j in range(y.shape[1]))]
+    lines += [",".join(forms[(i + j) % 3].format(v) for j, v in enumerate(row))
+              for i, row in enumerate(y.tolist())]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_generating_artifact(path, tree, gen):
+    truth = estimation.FitResult(
+        alpha_hat=gen.alpha[:, :1], sigma_hat=np.eye(1), eta_hat=gen.eta,
+        log_marginal_lik=0.0, se_alpha=None, converged=True, iterations=0,
+        model=estimation.ModelSpec(tree), tree_digest=tree.digest(),
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(estimation.fit_to_json(truth) + "\n")
+
+
 def run(outdir, name, argv, codes):
     """Run one CLI command; keep its stdout and stderr with OUTDIR masked."""
     out, err = io.StringIO(), io.StringIO()
@@ -106,20 +129,27 @@ def write_all(outdir):
     run(outdir, "fit-separated", ["fit", "--preset", "fig1-5cat", "--data", separated,
                                   "--out", path("fit-separated.json")], codes)
 
+    untidy = path("ratings-untidy.csv")
+    gen = generate_true_data(150, 20, preset_tree("fig1-5cat"), ALPHA0, SIGMA_ALPHA,
+                             np.random.default_rng(SEED))
+    write_untidy_ratings(untidy, gen.ratings.values)
+    run(outdir, "fit-untidy", ["fit", "--preset", "fig1-5cat", "--data", untidy,
+                               "--out", path("fit-untidy.json")], codes)
+    run(outdir, "convert-untidy", ["convert", "--preset", "fig1-5cat", "--fit",
+                                   path("fit-untidy.json"), "--data", untidy,
+                                   "--out", path("convert-untidy.csv")], codes)
+
     tree = preset_tree("fig1-5cat")
-    gen = generate_true_data(2000, 40, tree, ALPHA0, SIGMA_ALPHA, np.random.default_rng(SEED))
-    truth = estimation.FitResult(
-        alpha_hat=gen.alpha[:, :1], sigma_hat=np.eye(1), eta_hat=gen.eta,
-        log_marginal_lik=0.0, se_alpha=None, converged=True, iterations=0,
-        model=estimation.ModelSpec(tree), tree_digest=tree.digest(),
-    )
-    with open(path("generating-2000x40.json"), "w", encoding="utf-8") as fh:
-        fh.write(estimation.fit_to_json(truth) + "\n")
-    write_ratings(path("ratings-2000x40.csv"), gen.ratings.values)
-    for label, extra in (("data", ["--data", path("ratings-2000x40.csv")]), ("no-data", [])):
-        run(outdir, f"convert-2000x40-{label}",
-            ["convert", "--preset", "fig1-5cat", "--fit", path("generating-2000x40.json"),
-             "--out", path(f"convert-2000x40-{label}.csv"), *extra], codes)
+    for I, J, runs in ((2000, 40, ("data", "no-data")), (12000, 2, ("data",))):
+        size = f"{I}x{J}"
+        gen = generate_true_data(I, J, tree, ALPHA0, SIGMA_ALPHA, np.random.default_rng(SEED))
+        write_generating_artifact(path(f"generating-{size}.json"), tree, gen)
+        write_ratings(path(f"ratings-{size}.csv"), gen.ratings.values)
+        for label in runs:
+            extra = ["--data", path(f"ratings-{size}.csv")] if label == "data" else []
+            run(outdir, f"convert-{size}-{label}",
+                ["convert", "--preset", "fig1-5cat", "--fit", path(f"generating-{size}.json"),
+                 "--out", path(f"convert-{size}-{label}.csv"), *extra], codes)
 
     for label, doc in DESIGNS.items():
         with open(path(f"design-{label}.json"), "w", encoding="utf-8") as fh:
