@@ -169,14 +169,13 @@ def _label_rows(values, fmt: str) -> np.ndarray:
 def _fuzzy_csv(fz: fuzzy.FuzzyRatingMatrix) -> str:
     """The convert CSV, one row per cell in rater-major order; each real v as '%.6g' % v.
 
-    A block of about 2**14 cells, small enough for the allocator to reuse its
-    temporaries, is one byte table of NUL-padded fields, NULs then dropped.
+    Each block of `fuzzy.rater_blocks` is one byte table of NUL-padded fields,
+    NULs then dropped.
     """
-    n_raters, n_items = fz.shape
+    n_items = fz.shape[1]
     raters, items = (_label_rows(np.arange(1, k + 1), "%d") for k in fz.shape)
-    step = 2 ** 14 // max(n_items, 1) or 1
     text = ["rater,item,y,c,l,r,omega,clamped\n"]
-    for block in (slice(i, i + step) for i in range(0, n_raters, step)):
+    for block in fuzzy.rater_blocks(*fz.shape):
         cells = fz.c[block].size
         fields = [np.repeat(raters[block], n_items, 0), np.tile(items, (len(raters[block]), 1)),
                   np.zeros((cells, 0), np.uint8) if fz.y is None
@@ -266,6 +265,10 @@ def cmd_simulate(args) -> int:
 def cmd_eval(args) -> int:
     f = fuzzy.Tfn4(c=args.c, l=args.l, r=args.r, omega=args.omega)
     if args.grid:
+        if args.points < 1:
+            raise ValueError(f"--points must be >= 1, got {args.points}")
+        if args.m < 2:
+            raise ValueError(f"--m must be >= 2, got {args.m}")
         grid = np.linspace(1.0, float(args.m), args.points)
         vals = fuzzy.membership(f, grid)
         for y, a in zip(grid, vals):

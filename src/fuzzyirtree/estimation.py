@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .tree import ResponseTree
@@ -444,6 +443,10 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     Separation, non-convergence and NaN-SE notes go to `FitResult.warnings`;
     nothing is issued as a `UserWarning`.
     """
+    # imported here, not at module top, so that the commands that do not fit
+    # (convert, eval, validate-tree) never load the optimizer
+    from scipy.optimize import minimize
+
     options = options or FitOptions()
     tree = spec.tree
     pseudo = PseudoData.from_ratings(data, tree)

@@ -14,7 +14,8 @@ reduction `kaufmann_index` (along the last axis, with
 `multiverse_moments`, `williams_link`, `convert`, `membership`,
 `kaufmann_of` and `kaufmann_support` are one-cell wrappers over them;
 `convert_all` applies `convert_table` to the I x J x M table of a
-`FitResult`, with the tree the model was fit with.
+`FitResult`, with the tree the model was fit with, one block of
+raters (`rater_blocks`) at a time.
 """
 from __future__ import annotations
 
@@ -25,6 +26,17 @@ import numpy as np
 
 DEFAULT_GRID_POINTS = 201
 DEGENERATE_VARIANCE = 1e-9
+BLOCK_CELLS = 2 ** 14
+
+
+def rater_blocks(n_raters: int, n_items: int) -> list[slice]:
+    """Slices of whole raters of an I x J table, about BLOCK_CELLS cells each.
+
+    A block's temporaries are small enough for the allocator to reuse, where
+    each fresh multi-megabyte array of a whole table pays a page fault per page.
+    """
+    step = BLOCK_CELLS // max(n_items, 1) or 1
+    return [slice(i, i + step) for i in range(0, n_raters, step)]
 
 
 @dataclass(frozen=True)
@@ -226,12 +238,17 @@ def convert_all(fit, ratings=None) -> FuzzyRatingMatrix:
 
     if ratings is not None and not isinstance(ratings, RatingMatrix):
         raise TypeError(f"ratings must be a RatingMatrix or None, got {type(ratings).__name__}")
-    probs = category_probability_table(fit.model.tree, fit.eta_hat[:, None, :],
-                                       fit.alpha_hat[None, :, :])
+    shape = (fit.eta_hat.shape[0], fit.alpha_hat.shape[0])
     y = None if ratings is None else ratings.values
-    if y is not None and y.shape != probs.shape[:-1]:
-        raise ValueError(f"ratings must be {probs.shape[:-1]}, got {y.shape}")
-    return FuzzyRatingMatrix(*convert_table(probs), y=y)
+    if y is not None and y.shape != shape:
+        raise ValueError(f"ratings must be {shape}, got {y.shape}")
+    c, l, r, omega = (np.empty(shape) for _ in range(4))
+    clamped = np.empty(shape, bool)
+    for block in rater_blocks(*shape):
+        probs = category_probability_table(fit.model.tree, fit.eta_hat[block, None, :],
+                                           fit.alpha_hat[None, :, :])
+        c[block], l[block], r[block], omega[block], clamped[block] = convert_table(probs)
+    return FuzzyRatingMatrix(c, l, r, omega, clamped, y=y)
 
 
 def kaufmann_index(memberships):

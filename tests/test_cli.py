@@ -36,6 +36,23 @@ def seed_2024_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def zero_parameter_fit(tmp_path):
+    """A one-rater, one-item fig1-5cat fit artifact with every parameter 0."""
+    artifact = {
+        "alpha": [0.0], "alpha_shape": [1, 1], "sigma_cholesky": [1.0],
+        "eta": [[0.0, 0.0, 0.0, 0.0]], "loglik": 0.0, "converged": True,
+        "iterations": 0, "se": None,
+        "model": {"trait_design": "common", "item_design": "common",
+                  "covariance": "scalar", "M": 5, "N": 4},
+        "tree_digest": preset_tree("fig1-5cat").digest(),
+        "warnings": [],
+    }
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(artifact))
+    return path
+
+
 class TestValidateTree:
     def test_preset_ok(self, capsys):
         assert run_cli("validate-tree", "--preset", "fig1-5cat") == EXIT_OK
@@ -92,6 +109,26 @@ class TestEval:
     def test_needs_a_point_or_the_grid(self, capsys):
         assert run_cli("eval", "--c", "3", "--l", "2", "--r", "4") == EXIT_DOMAIN
         assert "pass --y VALUE or --grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_grid_needs_a_point(self, points, capsys):
+        code = run_cli("eval", "--c", "3", "--l", "2", "--r", "4", "--grid",
+                       "--points", points)
+        assert code == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --points must be >= 1, got {points}\n"
+
+    @pytest.mark.parametrize("m", ["1", "0"])
+    def test_grid_needs_two_categories(self, m, capsys):
+        code = run_cli("eval", "--c", "3", "--l", "2", "--r", "4", "--grid", "--m", m)
+        assert code == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --m must be >= 2, got {m}\n"
+
+    def test_grid_of_one_point(self, capsys):
+        code = run_cli("eval", "--c", "3", "--l", "2", "--r", "4", "--grid", "--points", "1")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "1 0\n"
 
 
 class TestFit:
@@ -360,23 +397,9 @@ class TestConvert:
         omega = np.array([float(line.split(",")[6]) for line in lines[1:]])
         assert ((omega > 0) & (omega <= 1)).all()
 
-    def test_zero_parameter_fit_rows(self, tmp_path):
-        from fuzzyirtree.tree import preset_tree
-
-        tree = preset_tree("fig1-5cat")
-        artifact = {
-            "alpha": [0.0], "alpha_shape": [1, 1], "sigma_cholesky": [1.0],
-            "eta": [[0.0, 0.0, 0.0, 0.0]], "loglik": 0.0, "converged": True,
-            "iterations": 0, "se": None,
-            "model": {"trait_design": "common", "item_design": "common",
-                      "covariance": "scalar", "M": 5, "N": 4},
-            "tree_digest": tree.digest(),
-            "warnings": [],
-        }
-        fit_path = tmp_path / "fit.json"
-        fit_path.write_text(json.dumps(artifact))
+    def test_zero_parameter_fit_rows(self, zero_parameter_fit, tmp_path):
         out = tmp_path / "fuzzy.csv"
-        code = run_cli("convert", "--preset", "fig1-5cat", "--fit", str(fit_path),
+        code = run_cli("convert", "--preset", "fig1-5cat", "--fit", str(zero_parameter_fit),
                        "--out", str(out))
         assert code == EXIT_OK
         row = out.read_text().splitlines()[1]
@@ -665,13 +688,58 @@ class TestSimulate:
         assert "seed" in capsys.readouterr().err
 
 
-def test_installed_entry_point(tmp_path):
+def _fresh_python(*argv):
+    """Run `python argv...` in a fresh interpreter that imports the package from src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fuzzyirtree.cli", "eval", "--c", "3", "--l", "2",
-         "--r", "4", "--omega", "1", "--y", "2.5"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_installed_entry_point(tmp_path):
+    proc = _fresh_python("-m", "fuzzyirtree.cli", "eval", "--c", "3", "--l", "2",
+                         "--r", "4", "--omega", "1", "--y", "2.5")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.5"
+
+
+class TestOptimizerImport:
+    """Only the commands that fit load scipy.optimize; each case is a fresh process."""
+
+    SCRIPT = """
+import json, sys
+from fuzzyirtree import cli, simulation
+before = "scipy.optimize" in sys.modules
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+if sys.argv[2] == "study":
+    design = simulation.SimDesign(I_levels=(20,), J_levels=(4,), pi_levels=(0.0,), B=2,
+                                  tree=cli.tree.preset_tree("fig1-5cat"), seed=5)
+    simulation.run_study(design, threads=2)
+print(json.dumps([before, codes, "scipy.optimize" in sys.modules]))
+"""
+
+    def _run(self, commands, study=False):
+        proc = _fresh_python("-c", self.SCRIPT, json.dumps(commands),
+                             "study" if study else "")
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_commands_that_do_not_fit(self, zero_parameter_fit, tmp_path):
+        commands = [
+            ["convert", "--preset", "fig1-5cat", "--fit", str(zero_parameter_fit),
+             "--out", str(tmp_path / "fuzzy.csv")],
+            ["eval", "--c", "3", "--l", "2", "--r", "4", "--grid"],
+            ["validate-tree", "--preset", "fig2-6cat"],
+        ]
+        assert self._run(commands) == [False, [EXIT_OK] * 3, False]
+
+    def test_fit_loads_it(self, ratings_csv, tmp_path):
+        path, _ = ratings_csv
+        fit = ["fit", "--preset", "fig1-5cat", "--data", str(path),
+               "--out", str(tmp_path / "fit.json"), "--no-se"]
+        assert self._run([fit]) == [False, [EXIT_OK], True]
+
+    def test_pool_loads_it_before_the_fork(self):
+        # the parent of a pool never fits, so the module can only have come
+        # from the import before the workers were forked
+        assert self._run([], study=True) == [False, [], True]

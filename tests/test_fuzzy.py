@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fuzzyirtree.estimation import FitOptions, ModelSpec, RatingMatrix, fit
 from fuzzyirtree.fuzzy import (
+    BLOCK_CELLS,
     FuzzyRatingMatrix,
     MultiverseDistribution,
     Tfn4,
@@ -19,8 +20,10 @@ from fuzzyirtree.fuzzy import (
     kaufmann_support_table,
     membership,
     multiverse_moments,
+    rater_blocks,
     williams_link,
 )
+from fuzzyirtree.tree import category_probability_table
 
 BASELINE = MultiverseDistribution(np.array([0.125, 0.125, 0.5, 0.125, 0.125]))
 UNIFORM5 = MultiverseDistribution(np.full(5, 0.2))
@@ -503,6 +506,25 @@ class TestConvertAll:
         res, data = _small_fit(fig1)
         with pytest.raises(ValueError, match=r"ratings must be \(20, 3\), got \(20, 2\)"):
             convert_all(res, RatingMatrix(data.values[:, :2], fig1.M))
+
+    @pytest.mark.parametrize("J", [1, 7])
+    def test_blocks_equal_the_whole_table(self, fig2, J):
+        # two full blocks of raters and a ragged third; J = 1 is where a
+        # one-row matmul would take another BLAS path than the whole table
+        I = 2 * (BLOCK_CELLS // J) + 13
+        rng = np.random.default_rng(J)
+
+        class Fit:
+            eta_hat = rng.normal(size=(I, fig2.N))
+            alpha_hat = rng.normal(size=(J, fig2.N))
+            model = ModelSpec(fig2)
+
+        assert len(rater_blocks(I, J)) == 3
+        out = convert_all(Fit())
+        whole = convert_table(category_probability_table(fig2, Fit.eta_hat[:, None, :],
+                                                         Fit.alpha_hat[None, :, :]))
+        for got, want in zip((out.c, out.l, out.r, out.omega, out.clamped), whole):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_invariants_on_fitted_model(self, fig1):
         res, _ = _small_fit(fig1)
