@@ -9,7 +9,6 @@ import argparse
 import csv
 import functools
 import json
-import operator
 import sys
 
 import numpy as np
@@ -21,6 +20,7 @@ from .estimation import (
     ModelSpec,
     RatingMatrix,
     _json_field,
+    _json_int,
     fit,
     fit_from_json,
     fit_to_json,
@@ -221,12 +221,12 @@ def _design_from_json(doc: dict) -> simulation.SimDesign:
         return _design_value(doc, key, lambda v: tuple(map(convert, v)), what, list)
 
     return simulation.SimDesign(
-        I_levels=levels("I", operator.index, "a list of integers"),
-        J_levels=levels("J", operator.index, "a list of integers"),
+        I_levels=levels("I", _json_int, "a list of integers"),
+        J_levels=levels("J", _json_int, "a list of integers"),
         pi_levels=levels("pi", float, "a list of numbers"),
-        B=_design_value(doc, "B", int, "an integer"),
+        B=_design_value(doc, "B", _json_int, "an integer"),
         tree=t,
-        seed=_design_value(doc, "seed", int, "an integer"),
+        seed=_design_value(doc, "seed", _json_int, "an integer"),
         **optional,
     )
 

@@ -154,9 +154,6 @@ class PseudoData:
         mask = ~np.isnan(rows)
         return cls(*np.nonzero(mask), z=rows[mask], I=data.I, J=data.J, N=tree.N)
 
-    def __len__(self):
-        return self.rater.size
-
     def cell_index(self, owner: np.ndarray, cols: int) -> np.ndarray:
         """Flat index of each record's cell in a matrix with one row per
         owner (`item` for the easiness, `rater` for the modes): column 0 when
@@ -311,8 +308,13 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None, gradient=False):
 class FitOptions:
     max_iter: int = 500
     tol: float = 1e-5
-    start: np.ndarray | None = None
     compute_se: bool = True
+
+    def __post_init__(self):
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -453,19 +455,10 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     notes = _separation_warnings(pseudo, tree)
     n_alpha = data.J * spec.item_cols
     bounds = [(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)
-    x0 = options.start if options.start is not None else _start_values(pseudo, spec)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size != len(bounds):
-        raise ValueError(f"start vector must have {len(bounds)} entries")
     objective = _make_objective(pseudo, spec)
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": options.max_iter, "ftol": 1e-14, "gtol": options.tol},
-    )
+    res = minimize(objective, _start_values(pseudo, spec), jac=True, method="L-BFGS-B",
+                   bounds=bounds,
+                   options={"maxiter": options.max_iter, "ftol": 1e-14, "gtol": options.tol})
     x = res.x
     # one evaluation at the solution gives the log-likelihood, the posterior
     # modes and the projected gradient that decides convergence
@@ -599,6 +592,13 @@ def _json_field(doc: dict, key: str, convert, what: str, kind=object,
         raise ValueError(msg) from None
 
 
+def _json_int(value) -> int:
+    """A JSON integer as an int: operator.index, except that true and false are not."""
+    if isinstance(value, bool):
+        raise TypeError
+    return operator.index(value)
+
+
 def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     """Read a `fit_to_json` artifact back as the FitResult of its fit.
 
@@ -615,12 +615,12 @@ def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     numbers = functools.partial(np.array, dtype=float)  # null reads as NaN
     f = {key: _json_field(doc, key, *how) for key, *how in (
         ("alpha", numbers, "a list of numbers", list),
-        ("alpha_shape", lambda v: tuple(map(operator.index, v)), "a list of integers", list),
+        ("alpha_shape", lambda v: tuple(map(_json_int, v)), "a list of integers", list),
         ("eta", numbers, "a list of lists of numbers", list),
         ("sigma_cholesky", numbers, "a list of numbers", list),
         ("loglik", float, "a number", (int, float)),
         ("converged", bool, "true or false", bool),
-        ("iterations", operator.index, "an integer"),
+        ("iterations", _json_int, "an integer"),
         ("model", dict, "an object", dict),
         ("tree_digest", str, "a string", str),
         ("se", lambda v: None if v is None else numbers(v), "null or a list of numbers"),

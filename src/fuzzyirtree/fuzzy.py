@@ -11,8 +11,8 @@ which converts each distribution on the last axis), `_membership_rows`
 (one expression for both sides of the triangle), and the Kaufmann
 reduction `kaufmann_index` (along the last axis, with
 `kaufmann_support_table` scoring each number on its own support).
-`multiverse_moments`, `williams_link`, `convert`, `membership`,
-`kaufmann_of` and `kaufmann_support` are one-cell wrappers over them;
+`multiverse_moments`, `williams_link`, `convert`, `intensification`,
+`membership` and `kaufmann_support` are one-cell wrappers over them;
 `convert_all` applies `convert_table` to the I x J x M table of a
 `FitResult`, with the tree the model was fit with, one block of
 raters (`rater_blocks`) at a time.
@@ -166,7 +166,7 @@ def williams_link(c_norm: float, s_norm: float) -> LinkResult:
 
 def intensification(d: MultiverseDistribution) -> float:
     """Sum of squared category probabilities; 1/M when uniform, 1 when crisp."""
-    return float(np.sum(d.probs**2))
+    return float(convert_table(d.probs)[3])
 
 
 def convert(d: MultiverseDistribution, M: int) -> Tfn4:
@@ -263,16 +263,11 @@ def kaufmann_index(memberships):
     return float(k) if k.ndim == 0 else k
 
 
-def kaufmann_of(f: Tfn4, M: int) -> float:
-    """Kaufmann index of a Tfn4 sampled on an even grid over [1, M]."""
-    return kaufmann_index(membership(f, np.linspace(1.0, float(M), DEFAULT_GRID_POINTS)))
-
-
 def kaufmann_support_table(c, l, r, omega):
     """Kaufmann index of each Tfn4 sampled on an even grid over its support.
 
-    Unlike kaufmann_of, the evaluation universe is the fuzzy number's own
-    support [l, r], so the index does not get diluted by the zero
+    The evaluation universe is the fuzzy number's own support [l, r], not the
+    rating scale [1, M], so the index does not get diluted by the zero
     memberships outside it; a degenerate number scores 0. The result has
     the shape the four inputs broadcast to (a float for scalars).
     """

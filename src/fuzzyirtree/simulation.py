@@ -159,6 +159,10 @@ class SimDesign:
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, vals)
+        if min(self.I_levels + self.J_levels) < 1:
+            raise ValueError("I and J levels must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in 0..2**64 - 1")
         if not np.isfinite(self.alpha0):
             raise ValueError("alpha0 must be finite")
         if not 0 <= self.sigma_alpha < np.inf:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fuzzyirtree import estimation, generate_true_data, preset_tree
+from fuzzyirtree import estimation, generate_true_data, preset_tree, simulation
 from fuzzyirtree.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, _fuzzy_csv, _read_ratings, main
 from fuzzyirtree.fuzzy import FuzzyRatingMatrix
 
@@ -230,6 +230,22 @@ class TestFit:
         assert "converged: false" in printed.out
         assert json.loads(out.read_text())["se"] is None
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tol", "-1", "tol must be finite and positive"),
+        ("--tol", "nan", "tol must be finite and positive"),
+        ("--tol", "0", "tol must be finite and positive"),
+        ("--max-iter", "0", "max_iter must be >= 1"),
+        ("--max-iter", "-1", "max_iter must be >= 1"),
+    ])
+    def test_option_that_cannot_be_met(self, flag, value, message, seed_2024_csv, tmp_path,
+                                       capsys):
+        out = tmp_path / "fit.json"
+        code = run_cli("fit", "--preset", "fig1-5cat", "--data", str(seed_2024_csv),
+                       "--out", str(out), flag, value)
+        assert code == EXIT_DOMAIN
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_autodetect(self, tmp_path):
         path = tmp_path / "headed.csv"
         path.write_text("item1,item2\n1,2\n3,4\n5,1\n2,3\n4,5\n3,3\n2,2\n")
@@ -366,7 +382,8 @@ WRONG_LENGTHS = [
 ]
 
 # (id, artifact change) pairs that give a field the wrong JSON type: each is
-# exit 1 with a message, not a traceback, and "false" is not read as true
+# exit 1 with a message, not a traceback, "false" is not read as true and
+# true is not the integer 1
 WRONG_TYPES = [
     ("alpha_shape-string", {"alpha_shape": "x"}),
     ("alpha_shape-float", {"alpha_shape": [4.0, 1]}),
@@ -374,6 +391,8 @@ WRONG_TYPES = [
     ("loglik-null", {"loglik": None}),
     ("warnings-number", {"warnings": 5}),
     ("converged-string", {"converged": "false"}),
+    ("iterations-true", {"iterations": True}),
+    ("alpha_shape-true", {"alpha_shape": [True, 1]}),
     *((f"{key}-object", {key: {"0": 1.0}}) for key in ("alpha", "eta", "sigma_cholesky", "se")),
 ]
 
@@ -628,6 +647,9 @@ class TestSimulate:
     @pytest.mark.parametrize("key,value", [
         ("I", 20), ("J", "4"), ("I", [20.5]), ("pi", None), ("pi", [None]),
         ("B", None), ("seed", [1]), ("alpha0", None), ("sigma_alpha", [0.25]),
+        # one integer rule: no float, no numeric string and no true or false
+        ("B", 2.7), ("B", "2"), ("B", True), ("seed", True), ("seed", 1.0), ("I", [True]),
+        ("J", [4, False]),
     ], ids=lambda v: repr(v))
     def test_wrongly_typed_design_field(self, key, value, tmp_path, capsys):
         path = self._design(tmp_path)
@@ -643,10 +665,21 @@ class TestSimulate:
         ("delta", float("inf"), "gamma and delta must be positive and finite"),
         ("alpha0", float("nan"), "alpha0 must be finite"),
         ("sigma_alpha", float("nan"), "sigma_alpha must be finite and >= 0"),
-    ], ids=["nan", "1.5", "gamma-nan", "delta-inf", "alpha0-nan", "sigma_alpha-nan"])
-    def test_bad_faking_level_runs_nothing(self, key, value, message, tmp_path, capsys):
+        ("I", [20, 0], "I and J levels must be >= 1"),
+        ("J", [-4], "I and J levels must be >= 1"),
+        ("seed", -1, "seed must lie in 0..2**64 - 1"),
+        ("seed", 2**64, "seed must lie in 0..2**64 - 1"),
+    ], ids=["nan", "1.5", "gamma-nan", "delta-inf", "alpha0-nan", "sigma_alpha-nan",
+            "I-0-after-20", "J-negative", "seed-negative", "seed-2**64"])
+    def test_bad_faking_level_runs_nothing(self, key, value, message, tmp_path, capsys,
+                                           monkeypatch):
         # json writes NaN and Infinity as bare literals, which the design
-        # reader accepts; a bad faking level or generating value runs no study
+        # reader accepts; a bad faking level, generating value, size level or
+        # seed runs no replication, not even those of the cells before it
+        def replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulation, "_run_replication", replication)
         path = self._design(tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         out = tmp_path / "x.csv"

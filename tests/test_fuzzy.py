@@ -15,7 +15,6 @@ from fuzzyirtree.fuzzy import (
     convert_table,
     intensification,
     kaufmann_index,
-    kaufmann_of,
     kaufmann_support,
     kaufmann_support_table,
     membership,
@@ -347,6 +346,14 @@ class TestIntensification:
         w = intensification(d)
         assert 1 / d.M - 1e-12 <= w <= 1 + 1e-12
 
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_is_the_omega_of_the_table(self, M):
+        # bit for bit against the table's cell, one-hot and uniform rows included
+        rng = np.random.default_rng(M)
+        p = np.vstack([rng.dirichlet(np.full(M, 0.7), 200), np.eye(M), np.full((1, M), 1 / M)])
+        for row, w in zip(p, convert_table(p)[3], strict=True):
+            assert intensification(MultiverseDistribution(row)) == w
+
 
 # ---------------------------------------------------------------------------
 # convert
@@ -569,18 +576,11 @@ class TestKaufmann:
         assert k.shape == (3, 4)
         assert k[2, 1] == kaufmann_index(vals[2, 1])
 
-    def test_linear_triangle_on_full_grid(self):
-        # continuum value of the integral over the support is 0.5; the grid
-        # over [1, 5] dilutes it by the support fraction 2/4
-        k = kaufmann_of(Tfn4(3, 2, 4, 1), 5)
-        assert k == pytest.approx(0.249, abs=2e-3)
-
     def test_degenerate(self):
-        assert kaufmann_of(Tfn4(3, 3, 3, 1), 5) == 0.0
         assert kaufmann_support(Tfn4(3, 3, 3, 1)) == 0.0
 
     def test_flatter_shape_is_fuzzier(self):
-        assert kaufmann_of(Tfn4(3, 2, 4, 0.3), 5) > kaufmann_of(Tfn4(3, 2, 4, 1.0), 5)
+        assert kaufmann_support(Tfn4(3, 2, 4, 0.3)) > kaufmann_support(Tfn4(3, 2, 4, 1.0))
 
     def test_support_universe_value(self):
         # on its own support the linear triangle is maximally spread out:
@@ -608,8 +608,6 @@ class TestKaufmann:
             own = np.linspace(f.l, f.r, 201)
             np.testing.assert_allclose(membership(f, full), oracle_membership(f, full),
                                        rtol=0, atol=1e-12)
-            assert kaufmann_of(f, 5) == pytest.approx(
-                _kaufmann_loop(oracle_membership(f, full)), abs=1e-12)
             assert ks[i] == pytest.approx(
                 _kaufmann_loop(oracle_membership(f, own)), abs=1e-12)
             assert kaufmann_support(f) == ks[i]

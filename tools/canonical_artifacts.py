@@ -12,7 +12,8 @@ command's exit code. The outputs:
 
 - fit JSON, stdout, stderr and the convert CSV of 150 x 20 seed-2024
   ratings from the generating model, for fig1-5cat and fig2-6cat under five
-  designs (`FIT_DESIGNS`);
+  designs and two fit options (`FIT_DESIGNS`): `--max-iter 3`, a fit that
+  stops at its iteration limit, and `--tol 1e-3`;
 - the fit of two raters who both answer 3, 3, 3 (separation notes);
 - the fit and convert of the fig1-5cat ratings rewritten with a header row,
   padded cells and cells written as `3.0`;
@@ -48,6 +49,9 @@ FIT_DESIGNS = {
     "model-pernode": ["--model", "pernode"],
     "model-pernode-diag": ["--model", "pernode", "--cov", "diag"],
     "pernode-pernode-diag": ["--model", "pernode", "--items", "pernode", "--cov", "diag"],
+    "pernode-pernode-diag-max-iter3": ["--model", "pernode", "--items", "pernode", "--cov",
+                                       "diag", "--no-se", "--max-iter", "3"],
+    "tol1e-3": ["--tol", "1e-3"],
 }
 DESIGNS = {
     # the design of acceptance criterion 9
