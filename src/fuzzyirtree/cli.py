@@ -20,6 +20,7 @@ from .estimation import (
     ModelSpec,
     RatingMatrix,
     _json_field,
+    _json_float,
     _json_int,
     fit,
     fit_from_json,
@@ -212,7 +213,7 @@ def _design_from_json(doc: dict) -> simulation.SimDesign:
                          (str, dict))
     t = tree.preset_tree(spec) if isinstance(spec, str) else tree.parse_tree_spec(json.dumps(spec))
     # optional fields keep SimDesign's defaults when the file leaves them out
-    optional = {k: _design_value(doc, k, float, "a number")
+    optional = {k: _design_value(doc, k, _json_float, "a number")
                 for k in ("alpha0", "sigma_alpha", "gamma", "delta") if k in doc}
     if "direction" in doc:
         optional["direction"] = doc["direction"]
@@ -223,7 +224,7 @@ def _design_from_json(doc: dict) -> simulation.SimDesign:
     return simulation.SimDesign(
         I_levels=levels("I", _json_int, "a list of integers"),
         J_levels=levels("J", _json_int, "a list of integers"),
-        pi_levels=levels("pi", float, "a list of numbers"),
+        pi_levels=levels("pi", _json_float, "a list of numbers"),
         B=_design_value(doc, "B", _json_int, "an integer"),
         tree=t,
         seed=_design_value(doc, "seed", _json_int, "an integer"),

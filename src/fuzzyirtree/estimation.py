@@ -8,8 +8,10 @@ resulting marginal log-likelihood. `laplace_marginal_loglik` also returns
 the exact gradient of that approximation, by the implicit-function rule of
 automatic Laplace approximation (Skaug & Fournier 2006; Kristensen et al.
 2016): the envelope term at the modes plus the derivative of
--1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit,
-its convergence check and its standard errors all use that gradient.
+-1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit
+and its convergence check use that gradient. The standard errors use the
+exact observed information, the derivative of that gradient taken once
+more in forward mode along every parameter (`_observed_information`).
 
 The trait covariance of every design is Sigma = S R S: S = diag(exp s)
 holds the log standard deviations and R = L L' a correlation matrix whose
@@ -32,8 +34,10 @@ import functools
 import json
 import operator
 import reprlib
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -45,7 +49,6 @@ INNER_TOL = 1e-8
 INNER_DECREMENT_TOL = 1e-12
 INNER_MAX_ITER = 100
 ALPHA_BOUND = 15.0
-SE_REL_STEP = 1e-4
 
 TRAIT_DESIGNS = ("common", "per-node")
 ITEM_DESIGNS = ("common", "per-node")
@@ -255,6 +258,57 @@ def _expand_modes(eta, N: int) -> np.ndarray:
     return np.broadcast_to(eta, (len(eta), N)).copy()
 
 
+class _ModeState(NamedTuple):
+    """A Laplace evaluation's per-rater state at the solved modes.
+
+    Per record k of rater i: p = expit(lp), s = p(1-p) and u = ds/dlp =
+    s(1-2p). Per rater: A_i = H_i^-1 (`a_inv`, with its diagonal `a_diag`),
+    t_i[n] = the sum of u over i's records in mode cell n, and
+    v_i = A_i (diag(A_i) * t_i).
+    """
+
+    sinv: np.ndarray
+    flat: np.ndarray
+    eta: np.ndarray
+    a_inv: np.ndarray
+    a_diag: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
+    u: np.ndarray
+    t: np.ndarray
+    v: np.ndarray
+
+
+def _mode_state(sinv, flat, eta, neg_hess, p) -> _ModeState:
+    n_raters, d = eta.shape
+    s = p * (1.0 - p)
+    u = s * (1.0 - 2.0 * p)
+    a_inv = np.linalg.inv(neg_hess)
+    a_diag = np.diagonal(a_inv, axis1=1, axis2=2)
+    t = np.bincount(flat, weights=u, minlength=n_raters * d)
+    v = np.einsum("ide,ie->id", a_inv, a_diag * t.reshape(n_raters, d))
+    return _ModeState(sinv, flat, eta, a_inv, a_diag, p, s, u, t, v)
+
+
+def _laplace_gradient(st: _ModeState, pseudo: PseudoData, alpha_cols: int):
+    """(dL/dalpha as a flat easiness vector, G, inner) at the modes of `st`.
+
+    The derivative of -1/2 log det H_i through W_i and through the moving
+    mode is -1/2 A_i[r,r] u + 1/2 v_i[r] s per record at mode cell r, and
+    G = 1/2 (Q inner Q - I Q) with inner = sum_i [eta eta' + A_i
+    - 1/2 (v eta' + eta v')].
+    """
+    sinv, flat, eta = st.sinv, st.flat, st.eta
+    per_rec = ((pseudo.z - st.p) - 0.5 * st.a_diag.ravel()[flat] * st.u
+               + 0.5 * st.v.ravel()[flat] * st.s)
+    d_alpha = np.bincount(pseudo.cell_index(pseudo.item, alpha_cols), weights=per_rec,
+                          minlength=pseudo.J * alpha_cols)
+    vt_eta = st.v.T @ eta
+    inner = eta.T @ eta + st.a_inv.sum(axis=0) - 0.5 * (vt_eta + vt_eta.T)
+    g_sigma = 0.5 * (sinv @ inner @ sinv - pseudo.I * sinv)
+    return d_alpha, 0.5 * (g_sigma + g_sigma.T), inner
+
+
 def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None, gradient=False):
     """Laplace-approximated marginal log-likelihood L, summed over raters.
 
@@ -280,28 +334,9 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None, gradient=False):
     value = float(np.sum(values + 0.5 * d * LOG_2PI - 0.5 * logdet_h))
     if not gradient:
         return value
-
-    # Per record k of rater i at node r: p = expit(lp), s = p(1-p),
-    # u = ds/dlp. With A_i = H_i^-1, t_i[n] = sum of u over i's records at
-    # node n and v_i = A_i (diag(A_i) * t_i), the derivative of
-    # -1/2 log det H_i through W_i and through the moving mode is
-    # -1/2 A_i[r,r] u + 1/2 v_i[r] s per record.
-    n_raters = pseudo.I
-    s = p * (1.0 - p)
-    u = s * (1.0 - 2.0 * p)
-    a_inv = np.linalg.inv(neg_hess)
-    a_diag = np.diagonal(a_inv, axis1=1, axis2=2)
-    t = np.bincount(flat, weights=u, minlength=n_raters * d)
-    v = np.einsum("ide,ie->id", a_inv, a_diag * t.reshape(n_raters, d))
-    per_rec = (pseudo.z - p) - 0.5 * a_diag.ravel()[flat] * u + 0.5 * v.ravel()[flat] * s
-    d_alpha = np.bincount(
-        pseudo.cell_index(pseudo.item, alpha.shape[1]), weights=per_rec, minlength=alpha.size
-    ).reshape(shape)
-    # G = 1/2 sum_i [-Q + Q eta eta' Q + Q A_i Q - 1/2 Q (v eta' + eta v') Q]
-    vt_eta = v.T @ eta
-    inner = eta.T @ eta + a_inv.sum(axis=0) - 0.5 * (vt_eta + vt_eta.T)
-    g_sigma = 0.5 * (sinv @ inner @ sinv - n_raters * sinv)
-    return value, d_alpha, 0.5 * (g_sigma + g_sigma.T), eta
+    st = _mode_state(sinv, flat, eta, neg_hess, p)
+    d_alpha, g_sigma, _ = _laplace_gradient(st, pseudo, alpha.shape[1])
+    return value, d_alpha.reshape(shape), g_sigma, eta
 
 
 @dataclass
@@ -330,13 +365,18 @@ class FitResult:
     tree_digest: str
     warnings: list = field(default_factory=list)
     x: np.ndarray | None = None    # packed optimum (alpha params + cov params)
-    # how the fit got its answer; not part of the JSON artifact
+    # how the fit got its answer; not part of the JSON artifact. `stop` is
+    # "gradient" (projected gradient below tol), "optimizer" (accepted only on
+    # L-BFGS-B's own stop) or None (not converged); the *_s entries are
+    # perf_counter seconds, `optimize_s` including the evaluation at the
+    # solution and `se_s` None when no SEs were computed
     diagnostics: dict = field(default_factory=dict)
 
 
 def _cov_map(theta, spec: ModelSpec):
     """Sigma = S R S at theta, with the chain rule G -> dL/dtheta of
-    dL = tr(G dSigma).
+    dL = tr(G dSigma) and its `curvature`, the second-order terms of the
+    Hessian in theta (see `_observed_information`).
 
     S = diag(exp s); R = L L' with row i of L the vector
     (b_i1, ..., b_i,i-1, 1) scaled to unit norm. R is a correlation matrix
@@ -360,7 +400,28 @@ def _cov_map(theta, spec: ModelSpec):
         return np.bincount(np.concatenate((low_index.ravel(), sd)), weights=grad,
                            minlength=size + 2)[:size]
 
-    return sigma, chain
+    def curvature(g_sigma):
+        # forward mode of the lines above along each parameter: dSigma/dtheta_l
+        # (size, d, d), and the derivative of chain(g_sigma) in theta at fixed
+        # g_sigma, whose [l, m] entry is tr(G d2Sigma / dtheta_l dtheta_m)
+        basis = np.eye(size, size + 2)
+        ds, db = basis[:, sd], basis[:, low_index]
+        d_norm = (low * db).sum(axis=-1, keepdims=True)
+        d_low = (db - low * d_norm) / norm
+        d_scale = scale * (ds[:, :, None] + ds[:, None, :])
+        d_rr = d_low @ low.T
+        d_sigma = d_scale * (low @ low.T) + scale * (d_rr + d_rr.transpose(0, 2, 1))
+        g_low = 2.0 * (g_sigma * scale) @ low
+        k = (g_low * low).sum(axis=1)[:, None]
+        d_g_low = 2.0 * (g_sigma * d_scale) @ low + 2.0 * (g_sigma * scale) @ d_low
+        d_k = (d_g_low * low + g_low * d_low).sum(axis=-1, keepdims=True)
+        d_g_b = (d_g_low - d_k * low - k * d_low - (g_low - k * low) * d_norm / norm) / norm
+        d_grad = np.concatenate((d_g_b.reshape(size, -1),
+                                 2.0 * (g_sigma * d_sigma).sum(axis=-1)), axis=1)
+        place = np.eye(size + 2)[np.concatenate((low_index.ravel(), sd)), :size]
+        return d_sigma, d_grad @ place
+
+    return sigma, chain, curvature
 
 
 def _unpack_cov(theta, spec: ModelSpec) -> np.ndarray:
@@ -426,7 +487,7 @@ def _make_objective(pseudo: PseudoData, spec: ModelSpec):
 
     def objective(x):
         alpha = x[:n_alpha].reshape(pseudo.J, spec.item_cols)
-        sigma, chain = _cov_map(x[n_alpha:], spec)
+        sigma, chain, _ = _cov_map(x[n_alpha:], spec)
         value, d_alpha, g_sigma, eta = laplace_marginal_loglik(
             alpha, sigma, pseudo, eta0=objective.modes, gradient=True
         )
@@ -451,11 +512,14 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
 
     options = options or FitOptions()
     tree = spec.tree
+    t0 = time.perf_counter()
     pseudo = PseudoData.from_ratings(data, tree)
+    pseudo_data_s = time.perf_counter() - t0
     notes = _separation_warnings(pseudo, tree)
     n_alpha = data.J * spec.item_cols
     bounds = [(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)
     objective = _make_objective(pseudo, spec)
+    t0 = time.perf_counter()
     res = minimize(objective, _start_values(pseudo, spec), jac=True, method="L-BFGS-B",
                    bounds=bounds,
                    options={"maxiter": options.max_iter, "ftol": 1e-14, "gtol": options.tol})
@@ -463,12 +527,14 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     # one evaluation at the solution gives the log-likelihood, the posterior
     # modes and the projected gradient that decides convergence
     nll, g = objective(x)
+    optimize_s = time.perf_counter() - t0
     lo, hi = np.array(bounds).T
     g_proj = g.copy()
     g_proj[(x <= lo) & (g > 0)] = 0.0
     g_proj[(x >= hi) & (g < 0)] = 0.0
     pg_max = float(np.abs(g_proj).max())
-    converged = pg_max < options.tol or bool(res.success)
+    stop = "gradient" if pg_max < options.tol else "optimizer" if res.success else None
+    converged = stop is not None
     if not converged:
         notes = notes + [f"did not converge after {res.nit} iterations"]
 
@@ -488,10 +554,16 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
             "objective_evaluations": objective.evaluations,
             "projected_gradient_max": pg_max,
             "message": str(res.message),
+            "stop": stop,
+            "pseudo_data_s": pseudo_data_s,
+            "optimize_s": optimize_s,
+            "se_s": None,
         },
     )
     if options.compute_se and converged:
+        t0 = time.perf_counter()
         result.se_alpha = standard_errors(result, data)
+        result.diagnostics["se_s"] = time.perf_counter() - t0
         if np.isnan(result.se_alpha).any():
             result.warnings.append("observed information is not invertible; SEs set to NaN")
     return result
@@ -505,38 +577,85 @@ def posterior_modes(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     return _expand_modes(eta, spec.tree.N)
 
 
+def _observed_information(x, pseudo: PseudoData, spec: ModelSpec, eta0):
+    """Exact Hessian of the objective -L at packed x, and the tangent of
+    the modes, (I, d, n) for the n parameters.
+
+    The modes are solved once, from `eta0`; then all n unit directions dx go
+    through the gradient's per-rater state at once (forward mode of
+    `_laplace_gradient`). With dlp = deta[c] + dalpha[a] per record at
+    mode cell c and easiness cell a, and dQ = -Q dSigma Q:
+      deta_i = -A_i (sum_k s_k dalpha_a e_c + dQ eta_i)   (implicit function)
+      dH_i = dQ + diag(sum_k u_k dlp_k),  dA_i = -A_i dH_i A_i
+      dt_i = sum_k w_k dlp_k with w = du/dlp = s(1 - 6s),
+      dv_i = dA_i (diag A_i * t_i) + A_i (diag dA_i * t_i + diag A_i * dt_i).
+    The records are first summed into (mode cell, easiness cell) cells of s,
+    u, w and f = -s - 1/2 A_cc w + 1/2 v_c u, the factor of dlp in the
+    derivative of the gradient's per-record term, so that no records x n
+    array is formed. The theta rows are tr(dG dSigma/dtheta_l), which is
+    chain(dG), plus `curvature`'s second-order term.
+    """
+    n_alpha = pseudo.J * spec.item_cols
+    alpha = x[:n_alpha].reshape(pseudo.J, spec.item_cols)
+    sigma, _, curvature = _cov_map(x[n_alpha:], spec)
+    sinv, flat, eta, neg_hess, _, p = _solve_modes(alpha, sigma, pseudo, eta0)
+    st = _mode_state(sinv, flat, eta, neg_hess, p)
+    _, g_sigma, inner = _laplace_gradient(st, pseudo, spec.item_cols)
+    d_sigma, d_chain = curvature(g_sigma)
+    a_inv, a_diag, s, u, t = st.a_inv, st.a_diag, st.s, st.u, st.t.reshape(eta.shape)
+    n_raters, d = eta.shape
+    n = x.size
+
+    w = s * (1.0 - 6.0 * s)
+    f = -s - 0.5 * a_diag.ravel()[flat] * w + 0.5 * st.v.ravel()[flat] * u
+    cells = flat * n_alpha + pseudo.cell_index(pseudo.item, spec.item_cols)
+    sc, uc, wc, fc = (np.bincount(cells, weights=q, minlength=eta.size * n_alpha)
+                      .reshape(n_raters, d, n_alpha) for q in (s, u, w, f))
+    dq = -sinv @ d_sigma @ sinv
+    d_eta = -a_inv @ np.concatenate((sc, np.einsum("lde,ie->idl", dq, eta)), axis=2)
+    d_w = t[..., None] * d_eta
+    d_w[..., :n_alpha] += uc
+    d_t = wc.sum(axis=2)[..., None] * d_eta
+    d_t[..., :n_alpha] += wc
+    d_a = -np.einsum("idc,icn,ice->iden", a_inv, d_w, a_inv)
+    d_a[..., n_alpha:] -= np.einsum("idc,lcf,ife->idel", a_inv, dq, a_inv)
+    d_a_diag = np.einsum("iddn->idn", d_a)
+    d_v = (np.einsum("iden,ie->idn", d_a, a_diag * t)
+           + np.einsum("ide,ien->idn", a_inv, d_a_diag * t[..., None] + a_diag[..., None] * d_t))
+
+    cell_rows = eta.size, n_alpha
+    h_alpha = (fc.reshape(cell_rows).T @ d_eta.reshape(-1, n)
+               - 0.5 * uc.reshape(cell_rows).T @ d_a_diag.reshape(-1, n)
+               + 0.5 * sc.reshape(cell_rows).T @ d_v.reshape(-1, n))
+    h_alpha[:, :n_alpha] += np.diag(fc.sum(axis=(0, 1)))
+    b = (np.einsum("idn,ie->den", d_eta, eta - 0.5 * st.v)
+         - 0.5 * np.einsum("idn,ie->den", d_v, eta))
+    d_inner = b + b.transpose(1, 0, 2) + d_a.sum(axis=0)
+    d_g = 0.5 * np.einsum("de,efn,fg->dgn", sinv, d_inner, sinv)
+    d_g[..., n_alpha:] += 0.5 * (dq @ inner @ sinv + sinv @ inner @ dq
+                                 - n_raters * dq).transpose(1, 2, 0)
+    h_theta = np.einsum("den,lde->ln", d_g, d_sigma)
+    h_theta[:, n_alpha:] += d_chain.T
+    hess = -np.concatenate((h_alpha, h_theta))
+    return 0.5 * (hess + hess.T), d_eta
+
+
 def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     """Square roots of the inverse observed information, for the easiness part.
 
-    The information is the Jacobian of the analytic gradient of the Laplace
-    objective at the optimum, by central differences (relative step
-    `SE_REL_STEP`, 2n evaluations for n parameters), symmetrized. Where it
-    is not invertible or gives a negative variance, every SE is NaN, and
-    `fit` says so in `FitResult.warnings`.
+    The information is the exact Hessian of the Laplace objective at the
+    optimum (`_observed_information`): one inner Newton solve at `fitres.x`
+    from the fit's modes, then one forward-mode pass of the analytic
+    gradient along every parameter. Where it is not invertible or gives a
+    negative variance, every SE is NaN, and `fit` says so in
+    `FitResult.warnings`.
     """
     spec = fitres.model
     pseudo = PseudoData.from_ratings(data, spec.tree)
     n_alpha = fitres.alpha_hat.size
-    x = fitres.x
-    if x is None:
+    if fitres.x is None:
         raise ValueError("standard errors need the packed optimum of a fit")
-    objective = _make_objective(pseudo, spec)
-    modes = fitres.eta_hat[:, : spec.re_dim]
-
-    def grad(v):
-        # both sides of a difference start the inner Newton at the modes of
-        # the optimum, so their leftover mode residuals nearly cancel
-        objective.modes = modes
-        return objective(v)[1]
-
-    n = x.size
-    h = SE_REL_STEP * np.maximum(1.0, np.abs(x))
-    hess = np.empty((n, n))
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = h[i]
-        hess[:, i] = (grad(x + step) - grad(x - step)) / (2.0 * h[i])
-    hess = 0.5 * (hess + hess.T)
+    hess, _ = _observed_information(fitres.x, pseudo, spec, fitres.eta_hat[:, : spec.re_dim])
     try:
         cov = np.linalg.inv(hess)
         diag = np.diag(cov)[:n_alpha]
@@ -599,6 +718,16 @@ def _json_int(value) -> int:
     return operator.index(value)
 
 
+def _json_float(value) -> float:
+    """A JSON number as a float: an int or a float, except that true and false are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError from None
+
+
 def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     """Read a `fit_to_json` artifact back as the FitResult of its fit.
 
@@ -618,7 +747,7 @@ def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
         ("alpha_shape", lambda v: tuple(map(_json_int, v)), "a list of integers", list),
         ("eta", numbers, "a list of lists of numbers", list),
         ("sigma_cholesky", numbers, "a list of numbers", list),
-        ("loglik", float, "a number", (int, float)),
+        ("loglik", _json_float, "a number"),
         ("converged", bool, "true or false", bool),
         ("iterations", _json_int, "an integer"),
         ("model", dict, "an object", dict),

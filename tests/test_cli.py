@@ -393,6 +393,8 @@ WRONG_TYPES = [
     ("converged-string", {"converged": "false"}),
     ("iterations-true", {"iterations": True}),
     ("alpha_shape-true", {"alpha_shape": [True, 1]}),
+    ("loglik-true", {"loglik": True}),
+    ("loglik-string", {"loglik": "1.5"}),
     *((f"{key}-object", {key: {"0": 1.0}}) for key in ("alpha", "eta", "sigma_cholesky", "se")),
 ]
 
@@ -626,7 +628,7 @@ class TestSimulate:
         defaults = SimDesign((1,), (1,), (0.0,), 1, design.tree)
         for key in ("alpha0", "sigma_alpha", "gamma", "delta", "direction"):
             assert getattr(design, key) == getattr(defaults, key)
-        doc.update(alpha0=-1, gamma="2.5", direction="faking-bad")
+        doc.update(alpha0=-1, gamma=2.5, direction="faking-bad")
         design = _design_from_json(doc)
         assert (design.alpha0, design.gamma, design.direction) == (-1.0, 2.5, "faking-bad")
 
@@ -650,7 +652,11 @@ class TestSimulate:
         # one integer rule: no float, no numeric string and no true or false
         ("B", 2.7), ("B", "2"), ("B", True), ("seed", True), ("seed", 1.0), ("I", [True]),
         ("J", [4, False]),
-    ], ids=lambda v: repr(v))
+        # one number rule: an int or a float, no numeric string and no true or false
+        ("pi", [True]), ("pi", [0.5, "0.25"]), ("alpha0", "1.5"), ("alpha0", False),
+        ("sigma_alpha", True), ("gamma", True), ("gamma", "2.5"), ("delta", "1"),
+        ("alpha0", 10**400),
+    ], ids=lambda v: repr(v)[:20])
     def test_wrongly_typed_design_field(self, key, value, tmp_path, capsys):
         path = self._design(tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))

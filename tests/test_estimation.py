@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -11,7 +12,6 @@ from scipy.special import expit
 
 from fuzzyirtree import estimation
 from fuzzyirtree.estimation import (
-    SE_REL_STEP,
     EstimationError,
     FitOptions,
     FitResult,
@@ -20,6 +20,7 @@ from fuzzyirtree.estimation import (
     RatingMatrix,
     _cov_bounds,
     _make_objective,
+    _observed_information,
     _start_values,
     _unpack_cov,
     fit,
@@ -32,6 +33,9 @@ from fuzzyirtree.estimation import (
 from fuzzyirtree.fuzzy import convert_all
 from fuzzyirtree.simulation import generate_true_data
 from fuzzyirtree.tree import category_probability_table, preset_tree
+
+# the step of `gradient_difference_hessian`, relative to max(1, |x|)
+GRADIENT_DIFF_STEP = 1e-2
 
 DESIGNS = (
     ("common", "common", "scalar"),
@@ -168,12 +172,12 @@ def neg_laplace_value(x, pseudo, spec, J):
 
 def value_hessian_se(fitres, data):
     """Easiness SEs from the O(n^2) central-difference Hessian of the Laplace
-    value itself (2n^2 + 1 evaluations), at the package's relative step."""
+    value itself (2n^2 + 1 evaluations)."""
     spec = fitres.model
     pseudo = PseudoData.from_ratings(data, spec.tree)
     x = fitres.x
     n = x.size
-    h = SE_REL_STEP * np.maximum(1.0, np.abs(x))
+    h = 1e-4 * np.maximum(1.0, np.abs(x))
 
     def nll(v):
         return neg_laplace_value(v, pseudo, spec, data.J)
@@ -193,6 +197,33 @@ def value_hessian_se(fitres, data):
             hess[i, j] = hess[j, i] = hij
     n_alpha = fitres.alpha_hat.size
     return np.sqrt(np.diag(np.linalg.inv(hess))[:n_alpha]).reshape(fitres.alpha_hat.shape)
+
+
+def gradient_difference_hessian(x, pseudo, spec, eta0):
+    """Hessian of the objective -L by fourth-order central differences of its
+    analytic gradient (4n evaluations, relative step GRADIENT_DIFF_STEP),
+    symmetrized. Every evaluation starts the inner Newton at `eta0`. The
+    package took its information from second-order differences (2n
+    evaluations at step 1e-4) before the exact one; where Sigma is close to
+    singular those resolve the Hessian only to about 1e-6 of its largest
+    entry, for rounding in the gradient, and the wider fourth-order stencil
+    does not have that floor."""
+    objective = _make_objective(pseudo, spec)
+    n = x.size
+    h = GRADIENT_DIFF_STEP * np.maximum(1.0, np.abs(x))
+
+    def grad(v):
+        objective.modes = eta0
+        return objective(v)[1]
+
+    hess = np.empty((n, n))
+    for i in range(n):
+        step = np.zeros(n)
+        step[i] = h[i]
+        near = grad(x + step) - grad(x - step)
+        far = grad(x + 2.0 * step) - grad(x - 2.0 * step)
+        hess[:, i] = (8.0 * near - far) / (12.0 * h[i])
+    return 0.5 * (hess + hess.T)
 
 
 def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, exhausted=None):
@@ -707,6 +738,15 @@ class TestFit:
         assert fit_to_json(a) == fit_to_json(b)
         np.testing.assert_array_equal(a.x, b.x)
 
+    @pytest.mark.parametrize("design", [("common", "common", "scalar"),
+                                        ("per-node", "per-node", "diagonal")], ids="/".join)
+    def test_deterministic_with_standard_errors(self, design, fig1):
+        data, _ = _simulate(40, 4, fig1, seed=11)
+        spec = ModelSpec(fig1, *design)
+        a, b = fit(data, spec), fit(data, spec)
+        assert a.se_alpha is not None and np.isfinite(a.se_alpha).all()
+        assert fit_to_json(a) == fit_to_json(b)
+
     def test_rater_permutation_equivariance(self, fig1):
         data, _ = _simulate(40, 4, fig1, seed=13)
         perm = np.random.default_rng(5).permutation(40)
@@ -745,14 +785,27 @@ class TestFit:
         assert diag["objective_evaluations"] >= res.iterations + 1
         assert 0.0 <= diag["projected_gradient_max"] < FitOptions().tol
         assert isinstance(diag["message"], str) and diag["message"]
+        assert diag["stop"] == "gradient"
+        for key in ("pseudo_data_s", "optimize_s", "se_s"):
+            assert isinstance(diag[key], float) and diag[key] >= 0.0
+
+    def test_stop_on_the_optimizer_rule_is_reported(self, fig1):
+        # at tol 1e-9 L-BFGS-B stops on its relative reduction of f with a
+        # projected gradient above tol, and the fit is accepted on that alone
+        res = fit(self._seed_2024_data(fig1), ModelSpec(fig1), FitOptions(tol=1e-9))
+        assert res.converged
+        assert res.diagnostics["stop"] == "optimizer"
+        assert res.diagnostics["projected_gradient_max"] >= 1e-9
 
     def test_diagnostics_not_in_artifact(self, fitted):
-        import dataclasses
-
         res, _, _, _ = fitted
         text = fit_to_json(res)
-        assert "diagnostics" not in json.loads(text)
+        doc = json.loads(text)
+        assert "diagnostics" not in doc
+        assert not set(res.diagnostics) & set(doc)
         assert fit_to_json(dataclasses.replace(res, diagnostics={})) == text
+        other = {key: -1.0 for key in res.diagnostics}
+        assert fit_to_json(dataclasses.replace(res, diagnostics=other)) == text
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_finite_and_positive(self, tol):
@@ -800,6 +853,7 @@ class TestFit:
         assert res.converged is False
         assert "did not converge after 1 iterations" in res.warnings
         assert res.se_alpha is None
+        assert res.diagnostics["stop"] is None and res.diagnostics["se_s"] is None
 
     def test_common_trait_forces_scalar_cov(self, fig1):
         with pytest.raises(ValueError, match="scalar"):
@@ -852,16 +906,13 @@ class TestStandardErrors:
 
     @pytest.mark.parametrize("curvature", [0.0, -1.0], ids=["singular", "negative"])
     def test_unusable_information_gives_nan(self, curvature, fitted, monkeypatch):
-        # a quadratic objective whose information is curvature * I: zero is
-        # not invertible and -1 gives negative variances
-        def make_objective(pseudo, spec):
-            def objective(x):
-                return 0.0, curvature * x
-            objective.modes = None
-            return objective
+        # an information of curvature * I: zero is not invertible and -1
+        # gives negative variances
+        def information(x, pseudo, spec, eta0):
+            return curvature * np.eye(x.size), None
 
         res, data, _, _ = fitted
-        monkeypatch.setattr(estimation, "_make_objective", make_objective)
+        monkeypatch.setattr(estimation, "_observed_information", information)
         se = standard_errors(res, data)
         assert se.shape == res.alpha_hat.shape
         assert np.isnan(se).all()
@@ -873,6 +924,73 @@ class TestStandardErrors:
         big = fit(RatingMatrix(np.vstack([data.values, data.values]), 5), spec)
         ratio = big.se_alpha / small.se_alpha
         np.testing.assert_allclose(ratio, 1 / np.sqrt(2), rtol=0.10)
+
+
+# every valid (trait, item, covariance) design
+ALL_DESIGNS = (("common", "common", "scalar"), ("common", "per-node", "scalar"),
+               *(("per-node", items, cov) for items in ("common", "per-node")
+                 for cov in estimation.COVARIANCES))
+
+
+@pytest.fixture(scope="module")
+def information_fits():
+    """Fits of each design to one 100 x 5 fig2-6cat stand-in data set."""
+    tree = preset_tree("fig2-6cat")
+    data = case_study_stand_in(seed=1, I=100)
+    pseudo = PseudoData.from_ratings(data, tree)
+    fits = {design: fit(data, ModelSpec(tree, *design), FitOptions(compute_se=False))
+            for design in ALL_DESIGNS}
+    return pseudo, fits
+
+
+class TestObservedInformation:
+    """The exact Hessian of -L against differences of its analytic gradient."""
+
+    @staticmethod
+    def _point(res, where):
+        if where == "optimum":
+            return res.x
+        # off the optimum the gradient is not zero, so the second-order terms
+        # of the covariance map and of the moving modes all count
+        return res.x + np.random.default_rng(3).normal(scale=0.2, size=res.x.size)
+
+    @pytest.mark.parametrize("where", ["optimum", "perturbed"])
+    @pytest.mark.parametrize("design", ALL_DESIGNS, ids="/".join)
+    def test_matches_gradient_differences(self, design, where, information_fits):
+        pseudo, fits = information_fits
+        res = fits[design]
+        assert res.converged
+        x = self._point(res, where)
+        eta0 = res.eta_hat[:, : res.model.re_dim]
+        exact, _ = _observed_information(x, pseudo, res.model, eta0)
+        oracle = gradient_difference_hessian(x, pseudo, res.model, eta0)
+        assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
+        if where == "perturbed":
+            _, grad = _make_objective(pseudo, res.model)(x)
+            assert np.abs(grad).max() > 1.0
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS, ids="/".join)
+    def test_mode_tangent_matches_differences(self, design, information_fits, monkeypatch):
+        # differences at step 1e-5 need modes solved well past the fit's tolerance
+        monkeypatch.setattr(estimation, "INNER_TOL", 1e-12)
+        pseudo, fits = information_fits
+        res = fits[design]
+        x = self._point(res, "perturbed")
+        spec, n_alpha = res.model, res.alpha_hat.size
+        eta0 = res.eta_hat[:, : spec.re_dim]
+        _, d_eta = _observed_information(x, pseudo, spec, eta0)
+
+        def modes(v):
+            alpha = v[:n_alpha].reshape(res.alpha_hat.shape)
+            return estimation._solve_modes(alpha, _unpack_cov(v[n_alpha:], spec), pseudo,
+                                           eta0)[2]
+
+        fd = np.empty_like(d_eta)
+        for k in range(x.size):
+            step = np.zeros(x.size)
+            step[k] = 1e-5 * max(1.0, abs(x[k]))
+            fd[..., k] = (modes(x + step) - modes(x - step)) / (2.0 * step[k])
+        assert np.abs(d_eta - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 class TestArtifact:
@@ -936,7 +1054,8 @@ class TestArtifact:
         ("alpha_shape", "x"), ("alpha_shape", [4.0, 1]), ("iterations", None),
         ("loglik", None), ("warnings", 5), ("converged", "false"), ("alpha", {}),
         ("eta", {}), ("sigma_cholesky", {}), ("se", {}), ("model", 5), ("tree_digest", 5),
-        ("iterations", True), ("alpha_shape", [True, 1]),
+        ("iterations", True), ("alpha_shape", [True, 1]), ("loglik", True), ("loglik", "1.5"),
+        ("loglik", 10**400),
     ]
 
     @pytest.mark.parametrize("key,value", WRONG_TYPES,
@@ -999,6 +1118,21 @@ class TestLoadedFit:
                                    rtol=0, atol=1e-7)
         np.testing.assert_allclose(standard_errors(back, data), res.se_alpha,
                                    rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS, ids="/".join)
+    def test_standard_error_bits_survive_the_artifact(self, design, fig2):
+        data = case_study_stand_in(seed=1, I=100)
+        res = fit(data, ModelSpec(fig2, *design))
+        assert np.isfinite(res.se_alpha).all()
+        text = fit_to_json(res)
+        back = fit_from_json(text, fig2)
+        np.testing.assert_array_equal(back.se_alpha, res.se_alpha)
+        assert json.loads(fit_to_json(back))["se"] == json.loads(text)["se"]
+        # the covariance parameters come back through the Cholesky factor of
+        # Sigma, which can move their last bits; at the fit's own x, the
+        # loaded modes give the fresh fit's SEs bit for bit
+        at_fit_x = dataclasses.replace(back, x=res.x)
+        np.testing.assert_array_equal(standard_errors(at_fit_x, data), res.se_alpha)
 
     def test_unstructured_case_study_stand_in(self, fig2):
         data = case_study_stand_in(seed=0)
