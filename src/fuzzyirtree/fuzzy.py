@@ -8,9 +8,11 @@ and set the intensification parameter to the sum of squared probabilities.
 Each computation has one kernel and one code path, vectorized over cells
 of any leading shape: `_moments` and `_link` (joined by `convert_table`,
 which converts each distribution on the last axis), `_membership_rows`
-(one expression for both sides of the triangle), and the Kaufmann
-reduction `kaufmann_index` (along the last axis, with
-`kaufmann_support_table` scoring each number on its own support).
+(one expression for both sides of the triangle), the Kaufmann reduction
+`kaufmann_index` (along the last axis) and `kaufmann_support_table`, which
+scores each number on its own support in closed form: on the unit support
+m = (y - l)/(r - l) the score depends only on where the mode sits and on
+omega, and it is computed one block of cells at a time.
 `multiverse_moments`, `williams_link`, `convert`, `intensification`,
 `membership` and `kaufmann_support` are one-cell wrappers over them;
 `convert_all` applies `convert_table` to the I x J x M table of a
@@ -269,11 +271,41 @@ def kaufmann_support_table(c, l, r, omega):
     The evaluation universe is the fuzzy number's own support [l, r], not the
     rating scale [1, M], so the index does not get diluted by the zero
     memberships outside it; a degenerate number scores 0. The result has
-    the shape the four inputs broadcast to (a float for scalars).
+    the shape the four inputs broadcast to (a float for scalars). A cell
+    that is not a valid Tfn4 is a ValueError.
+
+    The grid is DEFAULT_GRID_POINTS even points m of the unit support
+    m = (y - l)/(r - l), on which the mode sits at t = (c - l)/(r - l). With
+    a = |m - t| the distance to the mode and b the distance to the endpoint
+    on m's side (m up to the mode, 1 - m past it), the membership is
+    1/(1 + (a/b)**omega) on both sides, so the distance to the nearest crisp
+    set is min(mu, 1 - mu) = 1/(1 + (max(a, b)/min(a, b))**omega). A 0/0 (the
+    mode at an endpoint, every point of a degenerate number) gives 0. Cells
+    are scored BLOCK_CELLS // DEFAULT_GRID_POINTS at a time, so that the
+    temporaries stay small enough for the allocator to reuse.
     """
-    c, l, r, w = (np.asarray(v, float)[..., None] for v in (c, l, r, omega))
-    grid = l + (r - l) * np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    return kaufmann_index(_membership_rows(grid, c, l, r, w))
+    c, l, r, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (c, l, r, omega)))
+    valid = np.isfinite(l) & np.isfinite(r) & (l <= c) & (c <= r) & np.isfinite(w) & (w > 0)
+    if not valid.all():
+        at = tuple(int(i) for i in np.unravel_index(np.argmin(valid), valid.shape))
+        raise ValueError(f"need finite l <= c <= r and finite omega > 0, got (c, l, r, omega) = "
+                         f"({c[at]}, {l[at]}, {r[at]}, {w[at]})"
+                         + (f" at cell {at}" if at else ""))
+    m = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+    step = BLOCK_CELLS // DEFAULT_GRID_POINTS
+    out = np.empty(c.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = ((c - l) / (r - l)).ravel()
+        w = w.ravel()
+        for s in range(0, t.size, step):
+            tb = t[s:s + step, None]
+            a = np.abs(m - tb)
+            b = np.where(m <= tb, m, 1.0 - m)
+            ratio = np.maximum(a, b) / np.minimum(a, b)
+            np.fmin(ratio, np.inf, out=ratio)  # 0/0 becomes inf: a score of 0
+            out[s:s + step] = 2.0 * np.mean(1.0 / (1.0 + ratio ** w[s:s + step, None]), axis=-1)
+    k = out.reshape(c.shape)
+    return float(k) if k.ndim == 0 else k
 
 
 def kaufmann_support(f: Tfn4) -> float:

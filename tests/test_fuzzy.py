@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyirtree.estimation import FitOptions, ModelSpec, RatingMatrix, fit
+from fuzzyirtree import fuzzy
 from fuzzyirtree.fuzzy import (
     BLOCK_CELLS,
+    DEFAULT_GRID_POINTS,
     FuzzyRatingMatrix,
     MultiverseDistribution,
     Tfn4,
@@ -69,6 +73,37 @@ def oracle_membership_rows(grid, c, l, r, w):
         out[right] = 1.0 / (1.0 + ((r[right] - y) / (y - c[right])) ** -w[right])
     out[grid == c] = 1.0
     return out
+
+
+def oracle_kaufmann_support_table(c, l, r, omega):
+    """The Kaufmann support kernel as it was before the closed form, kept as
+    an oracle: the membership on the y-grid l + (r - l) * m of the whole
+    table at once, reduced by kaufmann_index. Its last point can fall an
+    ulp short of r, where the membership is then not 0."""
+    c, l, r, w = (np.asarray(v, float)[..., None] for v in (c, l, r, omega))
+    grid = l + (r - l) * np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+    return kaufmann_index(_membership_rows(grid, c, l, r, w))
+
+
+def oracle_kaufmann_support(c, l, r, omega):
+    """Kaufmann index of one Tfn4 on the unit support m = (y - l)/(r - l),
+    one point at a time: the membership of each branch, then its distance
+    to the nearest crisp set."""
+    if l == r:
+        return 0.0
+    t = (c - l) / (r - l)
+    total = 0.0
+    for m in np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS).tolist():
+        if m == t:
+            mu = 1.0
+        elif 0.0 < m < t:
+            mu = 1.0 / (1.0 + math.pow((t - m) / m, omega))
+        elif t < m < 1.0:
+            mu = 1.0 / (1.0 + math.pow((1.0 - m) / (m - t), -omega))
+        else:
+            mu = 0.0
+        total += min(mu, 1.0 - mu)
+    return 2.0 * total / DEFAULT_GRID_POINTS
 
 
 def oracle_convert(p):
@@ -625,3 +660,91 @@ class TestKaufmann:
         ks = kaufmann_support_table([3.0, 3.0], [3.0, 2.0], [3.0, 4.0], [1.0, 1.0])
         assert ks[0] == 0.0
         assert ks[1] > 0.4
+
+
+def _support_cells(rng, n, spread_min):
+    """n random (c, l, r, omega) cells with omega in [0.2, 1] and r - l from
+    spread_min to 3, log-uniform; the first three, as far as there are any,
+    have l = c, c = r and l = c = r."""
+    c = rng.uniform(1.5, 4.5, n)
+    spread = spread_min * (3.0 / spread_min) ** rng.random(n)
+    left = spread * rng.random(n)
+    l, r = c - left, c + (spread - left)
+    l[:1], r[:1] = c[:1], c[:1] + spread[:1]
+    l[1:2], r[1:2] = c[1:2] - spread[1:2], c[1:2]
+    l[2:3] = r[2:3] = c[2:3]
+    return c, l, r, rng.uniform(0.2, 1.0, n)
+
+
+class TestKaufmannClosedForm:
+    def test_matches_the_y_grid_kernel(self, rng):
+        c, l, r, w = _support_cells(rng, 20_000, 0.05)
+        assert (l[0], r[1], l[2], r[2]) == (c[0], c[1], c[2], c[2])
+        assert ((r - l)[3:] > 0.05 * (1 - 1e-12)).all()
+        ks = kaufmann_support_table(c, l, r, w)
+        old = oracle_kaufmann_support_table(c, l, r, w)
+        # the y-grid kernel loses digits in two kinds of cell, which the loop
+        # oracle checks instead: where l + (r - l) rounds below r, its last
+        # point is not the endpoint and scores up to ((r - y) / (y - c))**omega,
+        # about 1e-3 at omega = 0.2; and where the mode lies within a thousandth
+        # of a step of an inner grid point, y - c there keeps few digits
+        with np.errstate(invalid="ignore"):
+            step = (c - l) / (r - l) * (DEFAULT_GRID_POINTS - 1)
+        off = (l + (r - l) * 1.0 != r) | (
+            (np.abs(step - np.round(step)) < 1e-3) & (step > 0) & (step < DEFAULT_GRID_POINTS - 1))
+        assert 0 < off.sum() < 0.01 * off.size
+        np.testing.assert_allclose(ks[~off], old[~off], rtol=0, atol=1e-12)
+        for i in np.flatnonzero(off):
+            assert ks[i] == pytest.approx(oracle_kaufmann_support(c[i], l[i], r[i], w[i]),
+                                          abs=1e-14)
+        assert ks[0] > 0 and ks[1] > 0 and ks[2] == 0.0
+
+    def test_matches_the_unit_support_loop_down_to_tiny_spreads(self, rng):
+        c, l, r, w = _support_cells(rng, 600, 1e-9)
+        assert (r - l).min() < 1e-8
+        ks = kaufmann_support_table(c, l, r, w)
+        for i in range(c.size):
+            assert ks[i] == pytest.approx(oracle_kaufmann_support(c[i], l[i], r[i], w[i]),
+                                          abs=1e-14)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (16, 5), (27, 3), (41, 2), (150, 20)])
+    def test_blocks_give_the_bits_of_one_block(self, rng, monkeypatch, shape):
+        assert BLOCK_CELLS // DEFAULT_GRID_POINTS == 81
+        c, l, r, w = (v.reshape(shape) for v in _support_cells(rng, math.prod(shape), 0.05))
+        # an (I, J) table, and per-rater c, l, r against per-item omega
+        inputs = [(c, l, r, w), (c[:, :1], l[:, :1], r[:, :1], w[0])]
+        blocked = [kaufmann_support_table(*args) for args in inputs]
+        monkeypatch.setattr(fuzzy, "BLOCK_CELLS", 2 ** 40)
+        for args, got in zip(inputs, blocked):
+            assert got.shape == shape
+            assert np.array_equal(got, kaufmann_support_table(*args))
+        assert kaufmann_support_table(c[-1, -1], l[-1, -1], r[-1, -1], w[-1, -1]) \
+            == blocked[0][-1, -1]
+
+    def test_a_zero_d_input_gives_a_python_float(self):
+        for args in ((3.0, 2.0, 4.0, 0.5), tuple(np.array(v) for v in (3.0, 2.0, 4.0, 0.5)),
+                     tuple(np.float64(v) for v in (3.0, 3.0, 3.0, 1.0))):
+            assert type(kaufmann_support_table(*args)) is float
+
+    @pytest.mark.parametrize("c, l, r, w", [
+        (5.0, 2.0, 4.0, 0.5),        # c > r
+        (1.0, 2.0, 4.0, 0.5),        # l > c
+        (3.0, 4.0, 2.0, 0.5),        # l > r
+        (3.0, 2.0, 4.0, -1.0),
+        (3.0, 2.0, 4.0, 0.0),
+        (3.0, 2.0, 4.0, np.nan),
+        (3.0, 2.0, 4.0, np.inf),
+        (np.nan, 2.0, 4.0, 0.5),
+        (3.0, -np.inf, 4.0, 0.5),
+        (3.0, 2.0, np.inf, 0.5),
+        (np.inf, np.inf, np.inf, 0.5),
+    ])
+    def test_a_cell_that_is_not_a_tfn4_is_a_domain_error(self, c, l, r, w):
+        with pytest.raises(ValueError, match="need finite l <= c <= r"):
+            kaufmann_support_table(c, l, r, w)
+
+    def test_the_domain_error_names_the_cell(self):
+        c = np.full((3, 4), 3.0)
+        c[1, 2] = 5.0
+        with pytest.raises(ValueError, match=r"\(5\.0, 2\.0, 4\.0, 0\.5\) at cell \(1, 2\)"):
+            kaufmann_support_table(c, 2.0, 4.0, 0.5)

@@ -20,8 +20,8 @@ command's exit code. The outputs:
 - a 2000 x 40 convert of an artifact written from the generating
   parameters, with and without `--data`, and a 12000 x 2 one with
   `--data`, whose rater labels reach five digits;
-- the `simulate` CSV and stdout of two designs (`DESIGNS`) at `--threads`
-  1 and 2;
+- the `simulate` CSV and stdout of three designs (`DESIGNS`), one of them
+  on `fig2-6cat`, at `--threads` 1 and 2;
 - `validate-tree` of both presets;
 - `eval` of one membership function at its endpoints, its mode and a point
   on each side, and on the `--grid` of three curvatures and of numbers
@@ -60,6 +60,10 @@ DESIGNS = {
     # the README's example factorial at B = 2
     "readme-factorial": {"I": [50, 150], "J": [10, 20], "pi": [0, 0.25, 0.5, 0.75],
                          "B": 2, "tree": "fig1-5cat", "seed": 2024},
+    # six categories: M - 1 = 5 is not a power of two, so the map back to
+    # 1..M rounds the endpoints
+    "fig2-6cat": {"I": [60, 150], "J": [10, 20], "pi": [0.0, 0.5], "B": 2,
+                  "tree": "fig2-6cat", "seed": 7},
 }
 
 TFN = ["--c", "3", "--l", "2", "--r", "4.5"]
