@@ -4,14 +4,17 @@ Ratings are expanded into node-wise Bernoulli pseudo-observations; the
 Gaussian random effect per rater is integrated out with a Laplace
 approximation around the per-rater joint-likelihood mode, and the fixed
 effects plus covariance parameters are maximized by L-BFGS-B over the
-resulting marginal log-likelihood. `laplace_marginal_loglik` also returns
-the exact gradient of that approximation, by the implicit-function rule of
-automatic Laplace approximation (Skaug & Fournier 2006; Kristensen et al.
-2016): the envelope term at the modes plus the derivative of
--1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit
-and its convergence check use that gradient. The standard errors use the
-exact observed information, the derivative of that gradient taken once
-more in forward mode along every parameter (`_observed_information`).
+resulting marginal log-likelihood. One Laplace evaluation (`_laplace`)
+gives the value, its exact gradient and the per-rater state at the modes,
+as in TMB (Kristensen et al. 2016). The gradient follows the
+implicit-function rule of automatic Laplace approximation (Skaug & Fournier
+2006): the envelope term at the modes plus the derivative of
+-1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit's
+objective and its convergence check read the value and the gradient through
+`laplace_marginal_loglik`. The standard errors use the exact observed
+information, the derivative of that gradient taken once more in forward
+mode along every parameter from the same evaluation's state
+(`_observed_information`).
 
 The trait covariance of every design is Sigma = S R S: S = diag(exp s)
 holds the log standard deviations and R = L L' a correlation matrix whose
@@ -30,6 +33,7 @@ each record in either matrix.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import operator
@@ -37,7 +41,6 @@ import reprlib
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -71,7 +74,9 @@ class RatingMatrix:
         if v.ndim != 2 or v.size == 0:
             raise ValueError("ratings must be a non-empty I x J matrix")
         if not np.issubdtype(v.dtype, np.integer):
-            if not np.all(v == np.round(v)):
+            # only finite whole floats convert: a cast of inf warns, and a
+            # string or object array has no np.round
+            if v.dtype.kind != "f" or not np.all(np.isfinite(v) & (v == np.round(v))):
                 raise ValueError("ratings must be integers")
             v = v.astype(int)
         if v.min() < 1 or v.max() > self.M:
@@ -258,59 +263,51 @@ def _expand_modes(eta, N: int) -> np.ndarray:
     return np.broadcast_to(eta, (len(eta), N)).copy()
 
 
-class _ModeState(NamedTuple):
-    """A Laplace evaluation's per-rater state at the solved modes.
+_Laplace = collections.namedtuple(
+    "_Laplace", "value d_alpha g_sigma inner sinv flat eta a_inv a_diag p s u t v")
 
-    Per record k of rater i: p = expit(lp), s = p(1-p) and u = ds/dlp =
-    s(1-2p). Per rater: A_i = H_i^-1 (`a_inv`, with its diagonal `a_diag`),
-    t_i[n] = the sum of u over i's records in mode cell n, and
+
+def _laplace(alpha, sigma, pseudo: PseudoData, eta0=None) -> _Laplace:
+    """One Laplace evaluation at the modes that the inner Newton solves from
+    `eta0`, for a (J, 1) or (J, N) `alpha`.
+
+    The record holds L, dL/dalpha as a flat easiness vector, G and `inner`
+    (below), and the per-rater state that `_observed_information`
+    differentiates: `sinv`, `flat` and `eta` of `_solve_modes`; per record k
+    of rater i, p = expit(lp), s = p(1-p) and u = ds/dlp = s(1-2p); per
+    rater, A_i = H_i^-1 (`a_inv`, with its diagonal `a_diag`), t_i[n] = the
+    sum of u over i's records in mode cell n (I x d) and
     v_i = A_i (diag(A_i) * t_i).
-    """
-
-    sinv: np.ndarray
-    flat: np.ndarray
-    eta: np.ndarray
-    a_inv: np.ndarray
-    a_diag: np.ndarray
-    p: np.ndarray
-    s: np.ndarray
-    u: np.ndarray
-    t: np.ndarray
-    v: np.ndarray
-
-
-def _mode_state(sinv, flat, eta, neg_hess, p) -> _ModeState:
-    n_raters, d = eta.shape
-    s = p * (1.0 - p)
-    u = s * (1.0 - 2.0 * p)
-    a_inv = np.linalg.inv(neg_hess)
-    a_diag = np.diagonal(a_inv, axis1=1, axis2=2)
-    t = np.bincount(flat, weights=u, minlength=n_raters * d)
-    v = np.einsum("ide,ie->id", a_inv, a_diag * t.reshape(n_raters, d))
-    return _ModeState(sinv, flat, eta, a_inv, a_diag, p, s, u, t, v)
-
-
-def _laplace_gradient(st: _ModeState, pseudo: PseudoData, alpha_cols: int):
-    """(dL/dalpha as a flat easiness vector, G, inner) at the modes of `st`.
 
     The derivative of -1/2 log det H_i through W_i and through the moving
     mode is -1/2 A_i[r,r] u + 1/2 v_i[r] s per record at mode cell r, and
     G = 1/2 (Q inner Q - I Q) with inner = sum_i [eta eta' + A_i
     - 1/2 (v eta' + eta v')].
     """
-    sinv, flat, eta = st.sinv, st.flat, st.eta
-    per_rec = ((pseudo.z - st.p) - 0.5 * st.a_diag.ravel()[flat] * st.u
-               + 0.5 * st.v.ravel()[flat] * st.s)
+    sinv, flat, eta, neg_hess, values, p = _solve_modes(alpha, sigma, pseudo, eta0)
+    n_raters, d = eta.shape
+    _, logdet_h = np.linalg.slogdet(neg_hess)
+    value = float(np.sum(values + 0.5 * d * LOG_2PI - 0.5 * logdet_h))
+    s = p * (1.0 - p)
+    u = s * (1.0 - 2.0 * p)
+    a_inv = np.linalg.inv(neg_hess)
+    a_diag = np.diagonal(a_inv, axis1=1, axis2=2)
+    t = np.bincount(flat, weights=u, minlength=n_raters * d).reshape(n_raters, d)
+    v = np.einsum("ide,ie->id", a_inv, a_diag * t)
+    per_rec = ((pseudo.z - p) - 0.5 * a_diag.ravel()[flat] * u + 0.5 * v.ravel()[flat] * s)
+    alpha_cols = alpha.shape[1]
     d_alpha = np.bincount(pseudo.cell_index(pseudo.item, alpha_cols), weights=per_rec,
                           minlength=pseudo.J * alpha_cols)
-    vt_eta = st.v.T @ eta
-    inner = eta.T @ eta + st.a_inv.sum(axis=0) - 0.5 * (vt_eta + vt_eta.T)
+    vt_eta = v.T @ eta
+    inner = eta.T @ eta + a_inv.sum(axis=0) - 0.5 * (vt_eta + vt_eta.T)
     g_sigma = 0.5 * (sinv @ inner @ sinv - pseudo.I * sinv)
-    return d_alpha, 0.5 * (g_sigma + g_sigma.T), inner
+    return _Laplace(value, d_alpha, 0.5 * (g_sigma + g_sigma.T), inner,
+                    sinv, flat, eta, a_inv, a_diag, p, s, u, t, v)
 
 
-def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None, gradient=False):
-    """Laplace-approximated marginal log-likelihood L, summed over raters.
+def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None):
+    """Laplace-approximated marginal log-likelihood L, summed over raters,
+    with its gradient: returns (L, dL/dalpha shaped like alpha, G, modes).
 
     For each rater: joint value at the mode + (d/2) log(2 pi)
     - 1/2 log det(-Hessian at the mode). The layouts come from the array
@@ -318,25 +315,15 @@ def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None, gradient=False):
     per-node items, a (J,) vector read as (J, 1); the d x d `sigma` has d = 1
     for one trait shared by all nodes or d = N for a trait per node. Any
     other shape is a ValueError. `eta0` (I x d) starts the inner Newton from
-    given modes instead of zero.
-
-    With `gradient=True`, returns (L, dL/dalpha shaped like alpha, G, modes)
-    where G is the symmetric d x d matrix with dL = tr(G dSigma) and modes
-    is the I x d array of per-rater joint-likelihood maximizers.
+    given modes instead of zero. G is the symmetric d x d matrix with
+    dL = tr(G dSigma) and modes the I x d array of per-rater
+    joint-likelihood maximizers.
     """
     if not isinstance(pseudo, PseudoData):
         raise TypeError("pseudo must be a PseudoData (see PseudoData.from_ratings)")
     shape = np.shape(alpha)
-    alpha = np.asarray(alpha, dtype=float).reshape(pseudo.J, -1)
-    sinv, flat, eta, neg_hess, values, p = _solve_modes(alpha, sigma, pseudo, eta0)
-    d = sinv.shape[0]
-    _, logdet_h = np.linalg.slogdet(neg_hess)
-    value = float(np.sum(values + 0.5 * d * LOG_2PI - 0.5 * logdet_h))
-    if not gradient:
-        return value
-    st = _mode_state(sinv, flat, eta, neg_hess, p)
-    d_alpha, g_sigma, _ = _laplace_gradient(st, pseudo, alpha.shape[1])
-    return value, d_alpha.reshape(shape), g_sigma, eta
+    lap = _laplace(np.asarray(alpha, dtype=float).reshape(pseudo.J, -1), sigma, pseudo, eta0)
+    return lap.value, lap.d_alpha.reshape(shape), lap.g_sigma, lap.eta
 
 
 @dataclass
@@ -424,13 +411,9 @@ def _cov_map(theta, spec: ModelSpec):
     return sigma, chain, curvature
 
 
-def _unpack_cov(theta, spec: ModelSpec) -> np.ndarray:
-    return _cov_map(theta, spec)[0]
-
-
 def _cov_params(chol, spec: ModelSpec) -> np.ndarray:
-    """Inverse of `_unpack_cov`, from the Cholesky factor of the covariance:
-    s_i is the log norm of its row i and b_ij = chol_ij / chol_ii."""
+    """The theta at which `_cov_map` gives the covariance whose Cholesky
+    factor is `chol`: s_i is the log norm of its row i and b_ij = chol_ij / chol_ii."""
     sd, low_index, size = spec.cov_layout
     theta = np.zeros(size + 2)
     theta[low_index] = chol / np.diag(chol)[:, None]
@@ -489,7 +472,7 @@ def _make_objective(pseudo: PseudoData, spec: ModelSpec):
         alpha = x[:n_alpha].reshape(pseudo.J, spec.item_cols)
         sigma, chain, _ = _cov_map(x[n_alpha:], spec)
         value, d_alpha, g_sigma, eta = laplace_marginal_loglik(
-            alpha, sigma, pseudo, eta0=objective.modes, gradient=True
+            alpha, sigma, pseudo, eta0=objective.modes
         )
         objective.modes = eta
         objective.evaluations += 1
@@ -540,7 +523,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
 
     result = FitResult(
         alpha_hat=x[:n_alpha].reshape(data.J, spec.item_cols),
-        sigma_hat=_unpack_cov(x[n_alpha:], spec),
+        sigma_hat=_cov_map(x[n_alpha:], spec)[0],
         eta_hat=_expand_modes(objective.modes, tree.N),
         log_marginal_lik=-nll,
         se_alpha=None,
@@ -572,6 +555,9 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
 def posterior_modes(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     """Per-rater joint-likelihood maximizers at the fitted parameters, I x N."""
     spec = fitres.model
+    if data.J != fitres.alpha_hat.shape[0]:
+        raise ValueError(f"ratings must be I x {fitres.alpha_hat.shape[0]} as in the fit, "
+                         f"got {data.values.shape}")
     pseudo = PseudoData.from_ratings(data, spec.tree)
     eta = _solve_modes(fitres.alpha_hat, fitres.sigma_hat, pseudo)[2]
     return _expand_modes(eta, spec.tree.N)
@@ -581,9 +567,9 @@ def _observed_information(x, pseudo: PseudoData, spec: ModelSpec, eta0):
     """Exact Hessian of the objective -L at packed x, and the tangent of
     the modes, (I, d, n) for the n parameters.
 
-    The modes are solved once, from `eta0`; then all n unit directions dx go
-    through the gradient's per-rater state at once (forward mode of
-    `_laplace_gradient`). With dlp = deta[c] + dalpha[a] per record at
+    The modes are solved once, from `eta0`, by `_laplace`; then all n unit
+    directions dx go through its per-rater state at once (forward mode of
+    its gradient). With dlp = deta[c] + dalpha[a] per record at
     mode cell c and easiness cell a, and dQ = -Q dSigma Q:
       deta_i = -A_i (sum_k s_k dalpha_a e_c + dQ eta_i)   (implicit function)
       dH_i = dQ + diag(sum_k u_k dlp_k),  dA_i = -A_i dH_i A_i
@@ -598,16 +584,14 @@ def _observed_information(x, pseudo: PseudoData, spec: ModelSpec, eta0):
     n_alpha = pseudo.J * spec.item_cols
     alpha = x[:n_alpha].reshape(pseudo.J, spec.item_cols)
     sigma, _, curvature = _cov_map(x[n_alpha:], spec)
-    sinv, flat, eta, neg_hess, _, p = _solve_modes(alpha, sigma, pseudo, eta0)
-    st = _mode_state(sinv, flat, eta, neg_hess, p)
-    _, g_sigma, inner = _laplace_gradient(st, pseudo, spec.item_cols)
+    _, _, g_sigma, inner, sinv, flat, eta, a_inv, a_diag, _, s, u, t, v = _laplace(
+        alpha, sigma, pseudo, eta0)
     d_sigma, d_chain = curvature(g_sigma)
-    a_inv, a_diag, s, u, t = st.a_inv, st.a_diag, st.s, st.u, st.t.reshape(eta.shape)
     n_raters, d = eta.shape
     n = x.size
 
     w = s * (1.0 - 6.0 * s)
-    f = -s - 0.5 * a_diag.ravel()[flat] * w + 0.5 * st.v.ravel()[flat] * u
+    f = -s - 0.5 * a_diag.ravel()[flat] * w + 0.5 * v.ravel()[flat] * u
     cells = flat * n_alpha + pseudo.cell_index(pseudo.item, spec.item_cols)
     sc, uc, wc, fc = (np.bincount(cells, weights=q, minlength=eta.size * n_alpha)
                       .reshape(n_raters, d, n_alpha) for q in (s, u, w, f))
@@ -628,7 +612,7 @@ def _observed_information(x, pseudo: PseudoData, spec: ModelSpec, eta0):
                - 0.5 * uc.reshape(cell_rows).T @ d_a_diag.reshape(-1, n)
                + 0.5 * sc.reshape(cell_rows).T @ d_v.reshape(-1, n))
     h_alpha[:, :n_alpha] += np.diag(fc.sum(axis=(0, 1)))
-    b = (np.einsum("idn,ie->den", d_eta, eta - 0.5 * st.v)
+    b = (np.einsum("idn,ie->den", d_eta, eta - 0.5 * v)
          - 0.5 * np.einsum("idn,ie->den", d_v, eta))
     d_inner = b + b.transpose(1, 0, 2) + d_a.sum(axis=0)
     d_g = 0.5 * np.einsum("de,efn,fg->dgn", sinv, d_inner, sinv)
@@ -651,10 +635,13 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     `FitResult.warnings`.
     """
     spec = fitres.model
-    pseudo = PseudoData.from_ratings(data, spec.tree)
-    n_alpha = fitres.alpha_hat.size
     if fitres.x is None:
         raise ValueError("standard errors need the packed optimum of a fit")
+    shape = (fitres.eta_hat.shape[0], fitres.alpha_hat.shape[0])
+    if data.values.shape != shape:
+        raise ValueError(f"ratings must be {shape} as in the fit, got {data.values.shape}")
+    pseudo = PseudoData.from_ratings(data, spec.tree)
+    n_alpha = fitres.alpha_hat.size
     hess, _ = _observed_information(fitres.x, pseudo, spec, fitres.eta_hat[:, : spec.re_dim])
     try:
         cov = np.linalg.inv(hess)
@@ -780,7 +767,7 @@ def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     theta = _cov_params(low, spec)
     return FitResult(
         alpha_hat=f["alpha"].reshape(shape),
-        sigma_hat=_unpack_cov(theta, spec),
+        sigma_hat=_cov_map(theta, spec)[0],
         eta_hat=f["eta"],
         log_marginal_lik=f["loglik"],
         se_alpha=None if f.get("se") is None else f["se"].reshape(shape),

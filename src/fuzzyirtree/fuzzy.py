@@ -8,11 +8,11 @@ and set the intensification parameter to the sum of squared probabilities.
 Each computation has one kernel and one code path, vectorized over cells
 of any leading shape: `_moments` and `_link` (joined by `convert_table`,
 which converts each distribution on the last axis), `_membership_rows`
-(one expression for both sides of the triangle), the Kaufmann reduction
-`kaufmann_index` (along the last axis) and `kaufmann_support_table`, which
-scores each number on its own support in closed form: on the unit support
-m = (y - l)/(r - l) the score depends only on where the mode sits and on
-omega, and it is computed one block of cells at a time.
+(one expression for both sides of the triangle) and
+`kaufmann_support_table`, which scores each number on its own support in
+closed form: on the unit support m = (y - l)/(r - l) the score depends
+only on where the mode sits and on omega, and it is computed one block of
+cells at a time.
 `multiverse_moments`, `williams_link`, `convert`, `intensification`,
 `membership` and `kaufmann_support` are one-cell wrappers over them;
 `convert_all` applies `convert_table` to the I x J x M table of a
@@ -51,7 +51,7 @@ class MultiverseDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("probs must be a vector of length >= 2")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+        if not np.all((p >= -1e-12) & (p <= 1 + 1e-12)):  # NaN fails too
             raise ValueError("probs must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"probs must sum to 1, got {p.sum()!r}")
@@ -251,18 +251,6 @@ def convert_all(fit, ratings=None) -> FuzzyRatingMatrix:
                                            fit.alpha_hat[None, :, :])
         c[block], l[block], r[block], omega[block], clamped[block] = convert_table(probs)
     return FuzzyRatingMatrix(c, l, r, omega, clamped, y=y)
-
-
-def kaufmann_index(memberships):
-    """Normalized distance to the nearest crisp set over the sampled points.
-
-    Reduces along the last axis: a float for a vector, an array otherwise.
-    """
-    a = np.atleast_1d(np.asarray(memberships, dtype=float))
-    if a.shape[-1] == 0:
-        raise ValueError("kaufmann_index needs a non-empty vector")
-    k = 2.0 * np.mean(np.abs(a - (a >= 0.5)), axis=-1)
-    return float(k) if k.ndim == 0 else k
 
 
 def kaufmann_support_table(c, l, r, omega):

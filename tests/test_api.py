@@ -30,7 +30,6 @@ PUBLIC_API = [
     "fit_to_json",
     "generate_true_data",
     "intensification",
-    "kaufmann_index",
     "kaufmann_support",
     "laplace_marginal_loglik",
     "membership",
@@ -59,7 +58,7 @@ def test_public_names_are_pinned():
 # Parameters of entry points whose unused knobs were removed; a knob that
 # comes back has to change this table too.
 PARAMETERS = [
-    (fuzzyirtree.laplace_marginal_loglik, ["alpha", "sigma", "pseudo", "eta0", "gradient"]),
+    (fuzzyirtree.laplace_marginal_loglik, ["alpha", "sigma", "pseudo", "eta0"]),
     (fuzzy.kaufmann_support_table, ["c", "l", "r", "omega"]),
     (fuzzyirtree.kaufmann_support, ["f"]),
     (fuzzyirtree.validate_tree, ["tree"]),

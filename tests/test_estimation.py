@@ -19,10 +19,10 @@ from fuzzyirtree.estimation import (
     PseudoData,
     RatingMatrix,
     _cov_bounds,
+    _cov_map,
     _make_objective,
     _observed_information,
     _start_values,
-    _unpack_cov,
     fit,
     fit_from_json,
     fit_to_json,
@@ -161,13 +161,12 @@ def agh_marginal_loglik(alpha_per_item, var, y, tree, n_nodes=61):
 
 
 def neg_laplace_value(x, pseudo, spec, J):
-    """-L at a packed parameter vector, from the value-only kernel with the
-    inner Newton started at zero."""
+    """-L at a packed parameter vector, with the inner Newton started at zero."""
     n_alpha = J if spec.item_design == "common" else J * spec.tree.N
     alpha = x[:n_alpha]
     if spec.item_design == "per-node":
         alpha = alpha.reshape(J, spec.tree.N)
-    return -laplace_marginal_loglik(alpha, _unpack_cov(x[n_alpha:], spec), pseudo)
+    return -laplace_marginal_loglik(alpha, _cov_map(x[n_alpha:], spec)[0], pseudo)[0]
 
 
 def value_hessian_se(fitres, data):
@@ -345,6 +344,14 @@ class TestRatingMatrix:
         with pytest.raises(ValueError):
             RatingMatrix(np.empty((0, 3), dtype=int), 5)
 
+    @pytest.mark.parametrize("values", [[[1.0, np.inf]], [["1", "2"]], [[True, True]]],
+                             ids=["inf", "strings", "booleans"])
+    def test_rejected_without_a_warning(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ratings must be integers"):
+                RatingMatrix(np.array(values), 5)
+
     def test_integral_floats_are_read_as_integers(self):
         y = RatingMatrix(np.array([[1.0, 3.0], [5.0, 2.0]]), 5).values
         assert np.issubdtype(y.dtype, np.integer)
@@ -414,7 +421,7 @@ class TestJointLoglik:
         alpha = rng.normal(size=3 if item_design == "common" else (3, fig1.N))
         a = rng.normal(scale=0.3, size=(d, d))
         sigma = 0.8 * np.eye(d) + a @ a.T
-        value, _, _, modes = laplace_marginal_loglik(alpha, sigma, pseudo, gradient=True)
+        value, _, _, modes = laplace_marginal_loglik(alpha, sigma, pseudo)
         records = _pseudo_records(y, fig1)
         want = 0.0
         for i in range(6):
@@ -445,7 +452,7 @@ class TestLaplaceMarginal:
         agh = agh_marginal_loglik(np.zeros(1), 1.0, y, fig1)
         assert agh == pytest.approx(exact, abs=1e-9)
         pseudo = PseudoData.from_ratings(RatingMatrix(y, 5), fig1)
-        lap = laplace_marginal_loglik(np.zeros(1), np.array([[1.0]]), pseudo)
+        lap = laplace_marginal_loglik(np.zeros(1), np.array([[1.0]]), pseudo)[0]
         # the one-observation Laplace error at unit prior variance is about
         # 8e-3; see the module tolerances note in the repository docs
         assert lap == pytest.approx(exact, abs=2e-2)
@@ -459,7 +466,7 @@ class TestLaplaceMarginal:
             alpha = rng.normal(scale=0.8, size=J)
             var = float(rng.uniform(0.01, 0.05))
             pseudo = PseudoData.from_ratings(RatingMatrix(y, 5), fig1)
-            lap = laplace_marginal_loglik(alpha, np.array([[var]]), pseudo)
+            lap = laplace_marginal_loglik(alpha, np.array([[var]]), pseudo)[0]
             agh = agh_marginal_loglik(alpha, var, y, fig1)
             assert lap == pytest.approx(agh, abs=1e-3), f"instance {k}"
 
@@ -468,7 +475,7 @@ class TestLaplaceMarginal:
             y = rng.integers(1, 6, size=(3, 2))
             alpha = rng.normal(scale=0.5, size=2)
             pseudo = PseudoData.from_ratings(RatingMatrix(y, 5), fig1)
-            lap = laplace_marginal_loglik(alpha, np.array([[1.0]]), pseudo)
+            lap = laplace_marginal_loglik(alpha, np.array([[1.0]]), pseudo)[0]
             agh = agh_marginal_loglik(alpha, 1.0, y, fig1)
             assert lap == pytest.approx(agh, abs=5e-2)
 
@@ -478,7 +485,7 @@ class TestLaplaceMarginal:
         y = np.array([[1, 4], [3, 5]])
         alpha = np.array([0.3, -0.4])
         pseudo = PseudoData.from_ratings(RatingMatrix(y, 5), fig1)
-        lap = laplace_marginal_loglik(alpha, np.array([[1e-8]]), pseudo)
+        lap = laplace_marginal_loglik(alpha, np.array([[1e-8]]), pseudo)[0]
         fixed = sum(
             _bernoulli_loglik(0.0, alpha, [r for r in _pseudo_records(y, fig1) if r[0] == i])
             for i in range(2)
@@ -490,12 +497,12 @@ class TestLaplaceMarginal:
         alpha = rng.normal(size=3)
         one = laplace_marginal_loglik(
             alpha, np.array([[0.7]]), PseudoData.from_ratings(RatingMatrix(y, 5), fig1)
-        )
+        )[0]
         two = laplace_marginal_loglik(
             alpha,
             np.array([[0.7]]),
             PseudoData.from_ratings(RatingMatrix(np.vstack([y, y]), 5), fig1),
-        )
+        )[0]
         assert two == pytest.approx(2 * one, rel=1e-9)
 
 
@@ -528,15 +535,12 @@ class TestLaplaceGradient:
         alpha = rng.normal(size=(3, 4))
         a = rng.normal(scale=0.3, size=(4, 4))
         sigma = np.eye(4) + a @ a.T
-        value, d_alpha, g_sigma, modes = laplace_marginal_loglik(
-            alpha, sigma, pseudo, gradient=True
-        )
-        assert value == laplace_marginal_loglik(alpha, sigma, pseudo)
+        value, d_alpha, g_sigma, modes = laplace_marginal_loglik(alpha, sigma, pseudo)
         assert d_alpha.shape == alpha.shape
         np.testing.assert_array_equal(g_sigma, g_sigma.T)
         assert modes.shape == (20, 4)
         # warm-starting the inner Newton at the modes gives the same value
-        again = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=modes)
+        again = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=modes)[0]
         assert again == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("alpha_cols,d", [(1, 2), (3, 1)], ids=["sigma-2x2", "alpha-3-cols"])
@@ -570,15 +574,15 @@ class TestInnerNewtonOracle:
         x = _start_values(pseudo, spec)
         x = x + rng.normal(scale=0.5, size=x.size)
         n_alpha = J * spec.item_cols
-        return x[:n_alpha].reshape(J, spec.item_cols), _unpack_cov(x[n_alpha:], spec), pseudo
+        return x[:n_alpha].reshape(J, spec.item_cols), _cov_map(x[n_alpha:], spec)[0], pseudo
 
     @staticmethod
     def _oracle(monkeypatch, alpha, sigma, pseudo, eta0=None, exhausted=None):
-        """`laplace_marginal_loglik(..., gradient=True)` on `oracle_solve_modes`."""
+        """`laplace_marginal_loglik` on `oracle_solve_modes`."""
         oracle = functools.partial(oracle_solve_modes, exhausted=exhausted)
         with monkeypatch.context() as m:
             m.setattr(estimation, "_solve_modes", oracle)
-            return laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0, gradient=True)
+            return laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0)
 
     @staticmethod
     def _assert_same(got, want):
@@ -596,9 +600,8 @@ class TestInnerNewtonOracle:
         # starts each evaluation at the modes of the one before
         eta0 = None if start == "cold" else oracle_solve_modes(alpha + 0.3, sigma, pseudo)[2]
         want = self._oracle(monkeypatch, alpha, sigma, pseudo, eta0)
-        got = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0, gradient=True)
+        got = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0)
         self._assert_same(got, want)
-        assert laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0) == want[0]
         self._assert_same(
             estimation._solve_modes(alpha, sigma, pseudo, eta0),
             oracle_solve_modes(alpha, sigma, pseudo, eta0),
@@ -612,8 +615,7 @@ class TestInnerNewtonOracle:
         alpha, sigma, pseudo = self._case(preset, design, *shape)
         eta0 = None if start == "cold" else oracle_solve_modes(alpha + 0.3, sigma, pseudo)[2]
         want = oracle_one_trait_value(alpha, sigma, pseudo, eta0)
-        assert np.array_equal(laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0), want)
-        got = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0, gradient=True)[0]
+        got = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0)[0]
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d", [1, 4])
@@ -631,12 +633,12 @@ class TestInnerNewtonOracle:
         exhausted = []
         if converges:
             want = self._oracle(monkeypatch, *args, eta0, exhausted)
-            self._assert_same(laplace_marginal_loglik(*args, eta0=eta0, gradient=True), want)
+            self._assert_same(laplace_marginal_loglik(*args, eta0=eta0), want)
         else:
             with pytest.raises(EstimationError) as want:
                 self._oracle(monkeypatch, *args, eta0, exhausted)
             with pytest.raises(EstimationError) as got:
-                laplace_marginal_loglik(*args, eta0=eta0, gradient=True)
+                laplace_marginal_loglik(*args, eta0=eta0)
             assert str(got.value) == str(want.value)
         assert exhausted
 
@@ -653,15 +655,15 @@ class TestCovarianceMap:
         at_bound = np.where(rng.random(inside.shape) < 0.5, lo, hi)
         mixed = np.where(rng.random(inside.shape) < 0.5, at_bound, inside)
         for theta in np.vstack([corners, mixed]):
-            np.linalg.cholesky(_unpack_cov(theta, spec))
+            np.linalg.cholesky(_cov_map(theta, spec)[0])
 
     def test_scalar_and_diagonal_are_exp_of_twice_the_log_sd(self, fig2, rng):
         theta = rng.uniform(-8.0, 5.0, size=fig2.N)
         np.testing.assert_array_equal(
-            _unpack_cov(theta, ModelSpec(fig2, "per-node", "common", "diagonal")),
+            _cov_map(theta, ModelSpec(fig2, "per-node", "common", "diagonal"))[0],
             np.diag(np.exp(2.0 * theta)))
         np.testing.assert_array_equal(
-            _unpack_cov(theta[:1], ModelSpec(fig2, "per-node", "common", "scalar")),
+            _cov_map(theta[:1], ModelSpec(fig2, "per-node", "common", "scalar"))[0],
             np.exp(2.0 * theta[0]) * np.eye(fig2.N))
 
     def test_unstructured_reads_correlations_and_sds(self, fig2):
@@ -671,9 +673,9 @@ class TestCovarianceMap:
         assert size == 10 and sorted([*sd, *low[np.tril_indices(4, -1)]]) == list(range(10))
         theta = np.zeros(size)
         theta[sd] = np.log([0.5, 1.0, 2.0, 3.0])
-        np.testing.assert_allclose(_unpack_cov(theta, spec), np.diag([0.25, 1.0, 4.0, 9.0]))
+        np.testing.assert_allclose(_cov_map(theta, spec)[0], np.diag([0.25, 1.0, 4.0, 9.0]))
         theta[low[1, 0]] = 1.0  # row 1 of L is (1, 1) / sqrt(2): correlation 1/sqrt(2)
-        sigma = _unpack_cov(theta, spec)
+        sigma = _cov_map(theta, spec)[0]
         assert sigma[1, 0] == pytest.approx(0.5 / np.sqrt(2.0), rel=1e-15)  # sds 0.5, 1
 
 
@@ -717,7 +719,7 @@ class TestFit:
 
         pseudo = PseudoData.from_ratings(data, fig1)
         x0 = _start_values(pseudo, spec)
-        start_ll = laplace_marginal_loglik(x0[: data.J], np.eye(1), pseudo)
+        start_ll = laplace_marginal_loglik(x0[: data.J], np.eye(1), pseudo)[0]
         assert res.log_marginal_lik >= start_ll
 
     def test_rough_recovery(self, fitted):
@@ -881,6 +883,14 @@ class TestPosteriorModes:
         modes = posterior_modes(res, data)
         assert modes[0, 0] > 0
 
+    def test_other_items_are_a_domain_error(self, fitted):
+        # any raters, but the fit's own items: unchecked, 3 items of a 6-item
+        # fit would be read with the first 3 items' easiness
+        res, data, _, _ = fitted
+        assert posterior_modes(res, RatingMatrix(data.values[:10], 5)).shape == (10, 4)
+        with pytest.raises(ValueError, match=r"must be I x 6 as in the fit, got \(120, 3\)"):
+            posterior_modes(res, RatingMatrix(data.values[:, :3], 5))
+
     def test_idempotent(self, fig1):
         data, _ = _simulate(30, 4, fig1, seed=23)
         res = fit(data, ModelSpec(fig1), FitOptions(compute_se=False))
@@ -916,6 +926,14 @@ class TestStandardErrors:
         se = standard_errors(res, data)
         assert se.shape == res.alpha_hat.shape
         assert np.isnan(se).all()
+
+    @pytest.mark.parametrize("rows,cols", [(60, 6), (120, 4)], ids=["other-raters", "fewer-items"])
+    def test_other_data_is_a_domain_error(self, rows, cols, fitted):
+        res, data, _, _ = fitted
+        other = RatingMatrix(data.values[:rows, :cols], 5)
+        want = rf"ratings must be \(120, 6\) as in the fit, got \({rows}, {cols}\)"
+        with pytest.raises(ValueError, match=want):
+            standard_errors(res, other)
 
     def test_doubling_sample_shrinks_se(self, fig1):
         data, _ = _simulate(60, 4, fig1, seed=31)
@@ -982,7 +1000,7 @@ class TestObservedInformation:
 
         def modes(v):
             alpha = v[:n_alpha].reshape(res.alpha_hat.shape)
-            return estimation._solve_modes(alpha, _unpack_cov(v[n_alpha:], spec), pseudo,
+            return estimation._solve_modes(alpha, _cov_map(v[n_alpha:], spec)[0], pseudo,
                                            eta0)[2]
 
         fd = np.empty_like(d_eta)
@@ -1026,7 +1044,7 @@ class TestArtifact:
         x = rng.normal(scale=0.5, size=n_alpha + len(_cov_bounds(spec)))
         res = FitResult(
             alpha_hat=x[:n_alpha].reshape(3, spec.item_cols),
-            sigma_hat=_unpack_cov(x[n_alpha:], spec), eta_hat=np.zeros((2, fig1.N)),
+            sigma_hat=_cov_map(x[n_alpha:], spec)[0], eta_hat=np.zeros((2, fig1.N)),
             log_marginal_lik=0.0, se_alpha=None, converged=True, iterations=0,
             model=spec, tree_digest=fig1.digest(), x=x,
         )

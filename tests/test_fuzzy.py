@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from fuzzyirtree.fuzzy import (
     convert_all,
     convert_table,
     intensification,
-    kaufmann_index,
     kaufmann_support,
     kaufmann_support_table,
     membership,
@@ -75,14 +75,25 @@ def oracle_membership_rows(grid, c, l, r, w):
     return out
 
 
+def oracle_kaufmann_index(memberships):
+    """The reduction of `oracle_kaufmann_support_table`: the normalized
+    distance to the nearest crisp set over the sampled points, along the
+    last axis (a float for a vector, an array otherwise)."""
+    a = np.atleast_1d(np.asarray(memberships, dtype=float))
+    if a.shape[-1] == 0:
+        raise ValueError("the Kaufmann index needs a non-empty vector")
+    k = 2.0 * np.mean(np.abs(a - (a >= 0.5)), axis=-1)
+    return float(k) if k.ndim == 0 else k
+
+
 def oracle_kaufmann_support_table(c, l, r, omega):
     """The Kaufmann support kernel as it was before the closed form, kept as
     an oracle: the membership on the y-grid l + (r - l) * m of the whole
-    table at once, reduced by kaufmann_index. Its last point can fall an
-    ulp short of r, where the membership is then not 0."""
+    table at once, reduced by `oracle_kaufmann_index`. Its last point can
+    fall an ulp short of r, where the membership is then not 0."""
     c, l, r, w = (np.asarray(v, float)[..., None] for v in (c, l, r, omega))
     grid = l + (r - l) * np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    return kaufmann_index(_membership_rows(grid, c, l, r, w))
+    return oracle_kaufmann_index(_membership_rows(grid, c, l, r, w))
 
 
 def oracle_kaufmann_support(c, l, r, omega):
@@ -327,6 +338,13 @@ class TestMoments:
             MultiverseDistribution([0.5, 0.4])
         with pytest.raises(ValueError, match="lie in"):
             MultiverseDistribution([1.5, -0.5])
+
+    def test_nan_probability_is_rejected(self):
+        # NaN passes both `p < 0` and `|sum - 1| > tol` as False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lie in"):
+                MultiverseDistribution([np.nan, 1.0])
 
 
 class TestWilliamsLink:
@@ -592,24 +610,24 @@ def _kaufmann_loop(values):
 
 class TestKaufmann:
     def test_maximal(self):
-        assert kaufmann_index(np.full(17, 0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert oracle_kaufmann_index(np.full(17, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_crisp(self):
-        assert kaufmann_index(np.array([0, 1, 1, 0, 0.0])) == 0.0
+        assert oracle_kaufmann_index(np.array([0, 1, 1, 0, 0.0])) == 0.0
 
     def test_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
-            kaufmann_index(np.array([]))
+            oracle_kaufmann_index(np.array([]))
 
     def test_matches_loop_oracle(self, rng):
         vals = rng.random(301)
-        assert kaufmann_index(vals) == pytest.approx(_kaufmann_loop(vals), abs=1e-12)
+        assert oracle_kaufmann_index(vals) == pytest.approx(_kaufmann_loop(vals), abs=1e-12)
 
     def test_reduces_along_last_axis(self, rng):
         vals = rng.random((3, 4, 301))
-        k = kaufmann_index(vals)
+        k = oracle_kaufmann_index(vals)
         assert k.shape == (3, 4)
-        assert k[2, 1] == kaufmann_index(vals[2, 1])
+        assert k[2, 1] == oracle_kaufmann_index(vals[2, 1])
 
     def test_degenerate(self):
         assert kaufmann_support(Tfn4(3, 3, 3, 1)) == 0.0
@@ -627,7 +645,7 @@ class TestKaufmann:
         f = Tfn4(2.8, 1.5, 4.2, 0.6)
         grid = np.linspace(f.l, f.r, 201)
         assert kaufmann_support(f) == pytest.approx(
-            kaufmann_index(membership(f, grid)), abs=1e-12
+            oracle_kaufmann_index(membership(f, grid)), abs=1e-12
         )
 
     def test_tables_match_scalar_versions(self, rng):

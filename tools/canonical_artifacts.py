@@ -14,6 +14,12 @@ command's exit code. The outputs:
   ratings from the generating model, for fig1-5cat and fig2-6cat under five
   designs and two fit options (`FIT_DESIGNS`): `--max-iter 3`, a fit that
   stops at its iteration limit, and `--tol 1e-3`;
+- fit JSON, stdout, stderr and the convert CSV of 150 x 5 seed-2024
+  fig2-6cat ratings from a correlated 4-D trait (sd 0.89, correlation 0.5)
+  and the published case-study easiness (`correlated_ratings`), under
+  `--model pernode --cov unstructured` with common and with per-node items
+  (`UNSTRUCTURED_DESIGNS`): the covariance chain and the `curvature` terms
+  of the b_ij in the standard errors;
 - the fit of two raters who both answer 3, 3, 3 (separation notes);
 - the fit and convert of the fig1-5cat ratings rewritten with a header row,
   padded cells and cells written as `3.0`;
@@ -39,6 +45,7 @@ import numpy as np
 
 from fuzzyirtree import estimation, generate_true_data, preset_tree
 from fuzzyirtree.cli import main
+from fuzzyirtree.tree import category_probability_table
 
 SEED = 2024
 ALPHA0, SIGMA_ALPHA = -1.75, 0.25
@@ -52,6 +59,20 @@ FIT_DESIGNS = {
     "pernode-pernode-diag-max-iter3": ["--model", "pernode", "--items", "pernode", "--cov",
                                        "diag", "--no-se", "--max-iter", "3"],
     "tol1e-3": ["--tol", "1e-3"],
+}
+# the published per-item easiness of the paper's empirical application,
+# items 1..5 by node (M, A_w, A_s, E) of fig2-6cat
+CASE_STUDY_ALPHA = np.array([
+    [-1.19, -0.40, -1.04, 0.33],
+    [-0.88, 0.53, 0.79, 0.05],
+    [-0.56, 0.25, -0.18, 0.47],
+    [-1.50, 0.46, 0.51, 0.06],
+    [-0.71, 0.05, -0.28, 0.04],
+])
+UNSTRUCTURED_DESIGNS = {
+    "pernode-unstructured": ["--model", "pernode", "--cov", "unstructured"],
+    "pernode-pernode-unstructured": ["--model", "pernode", "--items", "pernode", "--cov",
+                                     "unstructured"],
 }
 DESIGNS = {
     # the design of acceptance criterion 9
@@ -88,6 +109,18 @@ def write_untidy_ratings(path, y):
               for i, row in enumerate(y.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def correlated_ratings(I, rng):
+    """fig2-6cat ratings of I raters from CASE_STUDY_ALPHA and a 4-D trait
+    with sd 0.89 and correlation 0.5: every node's trait has variance 0.8."""
+    tree = preset_tree("fig2-6cat")
+    cov = 0.8 * (0.5 * np.eye(tree.N) + 0.5)
+    eta = rng.standard_normal((I, tree.N)) @ np.linalg.cholesky(cov).T
+    cdf = np.cumsum(category_probability_table(tree, eta[:, None, :], CASE_STUDY_ALPHA[None]),
+                    axis=-1)
+    cdf[..., -1] = 1.0
+    return (cdf < rng.random((I, len(CASE_STUDY_ALPHA)))[..., None]).sum(axis=-1) + 1
 
 
 def write_generating_artifact(path, tree, gen):
@@ -131,6 +164,16 @@ def write_all(outdir):
             run(outdir, f"convert-{preset}-{label}",
                 ["convert", "--preset", preset, "--fit", path(f"{name}.json"),
                  "--data", ratings, "--out", path(f"convert-{preset}-{label}.csv")], codes)
+
+    correlated = path("ratings-correlated.csv")
+    write_ratings(correlated, correlated_ratings(150, np.random.default_rng(SEED)))
+    for label, extra in UNSTRUCTURED_DESIGNS.items():
+        name = f"fit-correlated-{label}"
+        run(outdir, name, ["fit", "--preset", "fig2-6cat", "--data", correlated,
+                           "--out", path(f"{name}.json"), *extra], codes)
+        run(outdir, f"convert-correlated-{label}",
+            ["convert", "--preset", "fig2-6cat", "--fit", path(f"{name}.json"),
+             "--data", correlated, "--out", path(f"convert-correlated-{label}.csv")], codes)
 
     separated = path("ratings-separated.csv")
     write_ratings(separated, np.full((2, 3), 3))
