@@ -95,6 +95,12 @@ def _read_ratings(path: str, M: int) -> RatingMatrix:
     return RatingMatrix(np.array([list(map(value.__getitem__, row)) for row in data], int), M)
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write --out text rendered beforehand: a render error then leaves the old file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def cmd_validate_tree(args) -> int:
     t = _load_tree(args)
     report = tree.validate_tree(t)
@@ -115,8 +121,7 @@ def cmd_fit(args) -> int:
     result = fit(data, spec, opts)
     for note in result.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(fit_to_json(result) + "\n")
+    _write_output(args.out, fit_to_json(result) + "\n")
     print(f"log-marginal-likelihood: {_g6(result.log_marginal_lik)}")
     print(f"iterations: {result.iterations}")
     print(f"converged: {str(result.converged).lower()}")
@@ -196,8 +201,7 @@ def cmd_convert(args) -> int:
         fitres = fit_from_json(fh.read(), t)
     ratings = _read_ratings(args.data, t.M) if args.data else None
     fz = fuzzy.convert_all(fitres, ratings)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fuzzy_csv(fz))
+    _write_output(args.out, _fuzzy_csv(fz))
     print(f"wrote {fz.shape[0] * fz.shape[1]} fuzzy ratings to {args.out}")
     return EXIT_OK
 
@@ -256,8 +260,7 @@ def cmd_simulate(args) -> int:
         doc = json.load(fh)
     design = _design_from_json(doc)
     result = simulation.run_study(design, threads=args.threads)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.to_csv())
+    _write_output(args.out, result.to_csv())
     _print_study_tables(result)
     print(f"results written to {args.out}")
     return EXIT_OK
@@ -343,7 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, KeyError, EstimationError) as e:

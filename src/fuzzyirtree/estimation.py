@@ -10,11 +10,11 @@ as in TMB (Kristensen et al. 2016). The gradient follows the
 implicit-function rule of automatic Laplace approximation (Skaug & Fournier
 2006): the envelope term at the modes plus the derivative of
 -1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit's
-objective and its convergence check read the value and the gradient through
-`laplace_marginal_loglik`. The standard errors use the exact observed
-information, the derivative of that gradient taken once more in forward
-mode along every parameter from the same evaluation's state
-(`_observed_information`).
+objective reads the value and the gradient through `laplace_marginal_loglik`;
+its convergence check reads L-BFGS-B's returned `fun` and `jac`, the last
+evaluation. The standard errors use the exact observed information, the
+derivative of that gradient taken once more in forward mode along every
+parameter from the same evaluation's state (`_observed_information`).
 
 The trait covariance of every design is Sigma = S R S: S = diag(exp s)
 holds the log standard deviations and R = L L' a correlation matrix whose
@@ -196,11 +196,10 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
 
     There is one value pass per iterate: the candidate that the line search
     accepts is the next iterate, with its joint values and its linear
-    predictor, from which p is taken. Only a line search that runs out of
-    its 50 halvings values its last, halved step once more. At d = 1 the
-    Newton step is the gradient over the one-entry Hessian instead of a
-    batched 1 x 1 solve; with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
-    the two have the same bits.
+    predictor, from which p is taken; after 50 halvings, the 51st candidate
+    is taken whatever its value. At d = 1 the Newton step is the gradient
+    over the one-entry Hessian instead of a batched 1 x 1 solve; with numpy
+    2.4.6 and its bundled OpenBLAS 0.3.31 the two have the same bits.
     """
     sinv, logdet_sigma = _cov_inverse(sigma)
     alpha_rec = alpha.ravel()[pseudo.cell_index(pseudo.item, alpha.shape[1])]
@@ -240,16 +239,13 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
                 return sinv, flat, eta, neg_hess, f_cur, p
             break
         scale = np.ones(n_raters)
-        for _ in range(50):
+        for halvings in range(51):
             cand = eta + scale[:, None] * step
             f_new, lp_new = per_rater_value(cand)
             worse = f_new < f_cur - INNER_DECREMENT_TOL
-            if not worse.any():
+            if halvings == 50 or not worse.any():
                 break
             scale[worse] *= 0.5
-        else:
-            cand = eta + scale[:, None] * step
-            f_new, lp_new = per_rater_value(cand)
         eta, f_cur, lp = cand, f_new, lp_new
     bad = int(gmax.argmax())
     raise EstimationError(
@@ -264,7 +260,7 @@ def _expand_modes(eta, N: int) -> np.ndarray:
 
 
 _Laplace = collections.namedtuple(
-    "_Laplace", "value d_alpha g_sigma inner sinv flat eta a_inv a_diag p s u t v")
+    "_Laplace", "value d_alpha g_sigma inner sinv flat eta a_inv a_diag s u t v")
 
 
 def _laplace(alpha, sigma, pseudo: PseudoData, eta0=None) -> _Laplace:
@@ -274,7 +270,7 @@ def _laplace(alpha, sigma, pseudo: PseudoData, eta0=None) -> _Laplace:
     The record holds L, dL/dalpha as a flat easiness vector, G and `inner`
     (below), and the per-rater state that `_observed_information`
     differentiates: `sinv`, `flat` and `eta` of `_solve_modes`; per record k
-    of rater i, p = expit(lp), s = p(1-p) and u = ds/dlp = s(1-2p); per
+    of rater i, s = p(1-p) and u = ds/dlp = s(1-2p) of its p = expit(lp); per
     rater, A_i = H_i^-1 (`a_inv`, with its diagonal `a_diag`), t_i[n] = the
     sum of u over i's records in mode cell n (I x d) and
     v_i = A_i (diag(A_i) * t_i).
@@ -302,7 +298,7 @@ def _laplace(alpha, sigma, pseudo: PseudoData, eta0=None) -> _Laplace:
     inner = eta.T @ eta + a_inv.sum(axis=0) - 0.5 * (vt_eta + vt_eta.T)
     g_sigma = 0.5 * (sinv @ inner @ sinv - pseudo.I * sinv)
     return _Laplace(value, d_alpha, 0.5 * (g_sigma + g_sigma.T), inner,
-                    sinv, flat, eta, a_inv, a_diag, p, s, u, t, v)
+                    sinv, flat, eta, a_inv, a_diag, s, u, t, v)
 
 
 def laplace_marginal_loglik(alpha, sigma, pseudo, *, eta0=None):
@@ -355,8 +351,8 @@ class FitResult:
     # how the fit got its answer; not part of the JSON artifact. `stop` is
     # "gradient" (projected gradient below tol), "optimizer" (accepted only on
     # L-BFGS-B's own stop) or None (not converged); the *_s entries are
-    # perf_counter seconds, `optimize_s` including the evaluation at the
-    # solution and `se_s` None when no SEs were computed
+    # perf_counter seconds, `optimize_s` the L-BFGS-B loop and `se_s` None
+    # when no SEs were computed
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -463,8 +459,9 @@ def _make_objective(pseudo: PseudoData, spec: ModelSpec):
     """The Laplace objective of a fit: packed x -> (-L, -dL/dx).
 
     The closure starts each inner Newton from the modes of its previous
-    evaluation and keeps them in `objective.modes`; `objective.evaluations`
-    counts its calls. Make one per fit: the closure is not shared.
+    evaluation and keeps them in `objective.modes`, and a copy of its x in
+    `objective.x`; `objective.evaluations` counts its calls. Make one per
+    fit: the closure is not shared.
     """
     n_alpha = pseudo.J * spec.item_cols
 
@@ -474,11 +471,11 @@ def _make_objective(pseudo: PseudoData, spec: ModelSpec):
         value, d_alpha, g_sigma, eta = laplace_marginal_loglik(
             alpha, sigma, pseudo, eta0=objective.modes
         )
-        objective.modes = eta
+        objective.modes, objective.x = eta, x.copy()
         objective.evaluations += 1
         return -value, -_pack(d_alpha, chain(g_sigma))
 
-    objective.modes = None
+    objective.modes = objective.x = None
     objective.evaluations = 0
     return objective
 
@@ -507,9 +504,8 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
                    bounds=bounds,
                    options={"maxiter": options.max_iter, "ftol": 1e-14, "gtol": options.tol})
     x = res.x
-    # one evaluation at the solution gives the log-likelihood, the posterior
-    # modes and the projected gradient that decides convergence
-    nll, g = objective(x)
+    # x is other than the last evaluated point only after a failed line search
+    nll, g = (res.fun, res.jac) if np.array_equal(x, objective.x) else objective(x)
     optimize_s = time.perf_counter() - t0
     lo, hi = np.array(bounds).T
     g_proj = g.copy()
@@ -584,7 +580,7 @@ def _observed_information(x, pseudo: PseudoData, spec: ModelSpec, eta0):
     n_alpha = pseudo.J * spec.item_cols
     alpha = x[:n_alpha].reshape(pseudo.J, spec.item_cols)
     sigma, _, curvature = _cov_map(x[n_alpha:], spec)
-    _, _, g_sigma, inner, sinv, flat, eta, a_inv, a_diag, _, s, u, t, v = _laplace(
+    _, _, g_sigma, inner, sinv, flat, eta, a_inv, a_diag, s, u, t, v = _laplace(
         alpha, sigma, pseudo, eta0)
     d_sigma, d_chain = curvature(g_sigma)
     n_raters, d = eta.shape

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fuzzyirtree import estimation, generate_true_data, preset_tree, simulation
+from fuzzyirtree import cli, estimation, generate_true_data, preset_tree, simulation
 from fuzzyirtree.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, _fuzzy_csv, _read_ratings, main
 from fuzzyirtree.fuzzy import FuzzyRatingMatrix
 
@@ -451,6 +451,16 @@ class TestConvert:
         assert "model is missing field 'covariance'" in capsys.readouterr().err
 
 
+    def test_unknown_covariance_is_a_domain_error(self, zero_parameter_fit, tmp_path, capsys):
+        doc = json.loads(zero_parameter_fit.read_text())
+        doc["model"]["covariance"] = "bogus"
+        zero_parameter_fit.write_text(json.dumps(doc))
+        code = run_cli("convert", "--preset", "fig1-5cat", "--fit", str(zero_parameter_fit),
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "covariance must be one of ('scalar', 'diagonal', 'unstructured')" in err
+
     def test_artifact_not_an_object(self, tmp_path, capsys):
         fit_path = tmp_path / "fit.json"
         fit_path.write_text("[1, 2]")
@@ -591,6 +601,35 @@ class TestFuzzyCsv:
         assert text == oracle_fuzzy_csv(fz)
         assert text.endswith("\n10000,10,%d,%s,%s,%s,%s,%d\n" % (
             fz.y[-1, -1], *("%.6g" % a[-1, -1] for a in reals), fz.clamped[-1, -1]))
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("command", ["fit", "convert", "simulate"])
+    def test_render_error_keeps_the_previous_file(self, command, ratings_csv,
+                                                  zero_parameter_fit, tmp_path, monkeypatch,
+                                                  capsys):
+        # fit_to_json's Cholesky factor raises LinAlgError, a ValueError, on a
+        # Sigma that is not numerically positive definite; each command renders
+        # its --out text before it opens the file
+        def render_error(*args):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"I": [20], "J": [4], "pi": [0.0], "B": 1,
+                                      "tree": "fig1-5cat", "seed": 5}))
+        argv, renderer = {
+            "fit": (["fit", "--preset", "fig1-5cat", "--data", str(ratings_csv[0]), "--no-se"],
+                    (cli, "fit_to_json")),
+            "convert": (["convert", "--preset", "fig1-5cat", "--fit", str(zero_parameter_fit)],
+                        (cli, "_fuzzy_csv")),
+            "simulate": (["simulate", "--design", str(design)], (simulation.SimResult, "to_csv")),
+        }[command]
+        monkeypatch.setattr(*renderer, render_error)
+        out = tmp_path / "keep.out"
+        out.write_bytes(b"previous output\n")
+        assert run_cli(*argv, "--out", str(out)) == EXIT_DOMAIN
+        assert "error: Matrix is not positive definite" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous output\n"
 
 
 class TestSimulate:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -436,6 +437,11 @@ class TestJointLoglik:
         with pytest.raises(ValueError, match="positive definite"):
             laplace_marginal_loglik(np.zeros(1), np.zeros((1, 1)), pseudo)
 
+    def test_pseudo_must_be_pseudo_data(self):
+        ratings = RatingMatrix(np.array([[3]]), 5)
+        with pytest.raises(TypeError, match=r"pseudo must be a PseudoData \(see PseudoData"):
+            laplace_marginal_loglik(np.zeros(1), np.eye(1), ratings)
+
 
 # ---------------------------------------------------------------------------
 # Laplace marginal vs quadrature
@@ -791,6 +797,61 @@ class TestFit:
         for key in ("pseudo_data_s", "optimize_s", "se_s"):
             assert isinstance(diag[key], float) and diag[key] >= 0.0
 
+    @staticmethod
+    def _recorded_minimize(monkeypatch, returned=None):
+        """Wrap scipy's `minimize`, which `fit` imports at call time. The
+        wrapper keeps the L-BFGS-B result in `seen["res"]` and the objective's
+        modes when it returns in `seen["modes"]`. With `returned`, it records
+        each evaluation (x, fun, jac) and returns the point `returned` picks
+        from them, with its fun and jac, in place of L-BFGS-B's."""
+        import scipy.optimize
+        minimize, seen = scipy.optimize.minimize, {}
+
+        def wrapper(objective, x0, **kwargs):
+            calls = []
+
+            def recorded(x):
+                fun, jac = objective(x)
+                calls.append((x.copy(), fun, jac))
+                return fun, jac
+
+            res = minimize(recorded, x0, **kwargs)
+            seen.update(res=res, modes=objective.modes)
+            if returned is not None:
+                res.x, res.fun, res.jac = returned(calls)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", wrapper)
+        return seen
+
+    def test_answer_is_the_last_lbfgsb_evaluation(self, fig1, monkeypatch):
+        seen = self._recorded_minimize(monkeypatch)
+        res = fit(self._seed_2024_data(fig1), ModelSpec(fig1), FitOptions(compute_se=False))
+        assert res.diagnostics["stop"] == "gradient"
+        assert res.diagnostics["objective_evaluations"] == seen["res"].nfev
+        assert res.log_marginal_lik == -seen["res"].fun
+        np.testing.assert_array_equal(res.eta_hat, np.repeat(seen["modes"], fig1.N, axis=1))
+
+    def test_an_earlier_returned_point_is_evaluated_again(self, fig1, monkeypatch):
+        # after a failed line search L-BFGS-B returns an earlier point than its
+        # last evaluation, with that point's fun and jac; the fit then values it
+        # once more and reports that evaluation, whose warm start is the modes
+        # of the last one
+        seen = self._recorded_minimize(monkeypatch, returned=lambda calls: calls[-3])
+        data, spec = self._seed_2024_data(fig1), ModelSpec(fig1)
+        res = fit(data, spec, FitOptions(compute_se=False))
+        assert res.diagnostics["objective_evaluations"] == seen["res"].nfev + 1
+        reference = _make_objective(PseudoData.from_ratings(data, fig1), spec)
+        reference.modes = seen["modes"]
+        nll, g = reference(res.x)
+        assert res.log_marginal_lik == -nll
+        np.testing.assert_array_equal(res.eta_hat, np.repeat(reference.modes, fig1.N, axis=1))
+        assert not np.array_equal(reference.modes, seen["modes"])
+        lo, hi = np.array([(-estimation.ALPHA_BOUND, estimation.ALPHA_BOUND)] * data.J
+                          + _cov_bounds(spec)).T
+        assert ((lo < res.x) & (res.x < hi)).all()  # no bound projects the gradient
+        assert res.diagnostics["projected_gradient_max"] == np.abs(g).max()
+
     def test_stop_on_the_optimizer_rule_is_reported(self, fig1):
         # at tol 1e-9 L-BFGS-B stops on its relative reduction of f with a
         # projected gradient above tol, and the fit is accepted on that alone
@@ -860,6 +921,15 @@ class TestFit:
     def test_common_trait_forces_scalar_cov(self, fig1):
         with pytest.raises(ValueError, match="scalar"):
             ModelSpec(fig1, trait_design="common", covariance="diagonal")
+
+    @pytest.mark.parametrize("key, names", [
+        ("trait_design", "('common', 'per-node')"),
+        ("item_design", "('common', 'per-node')"),
+        ("covariance", "('scalar', 'diagonal', 'unstructured')"),
+    ])
+    def test_unknown_design_name(self, key, names, fig1):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be one of {names}")):
+            ModelSpec(fig1, **{key: "bogus"})
 
 
 class TestPosteriorModes:
@@ -934,6 +1004,11 @@ class TestStandardErrors:
         want = rf"ratings must be \(120, 6\) as in the fit, got \({rows}, {cols}\)"
         with pytest.raises(ValueError, match=want):
             standard_errors(res, other)
+
+    def test_fit_without_packed_optimum_is_a_domain_error(self, fitted):
+        res, data, _, _ = fitted
+        with pytest.raises(ValueError, match="standard errors need the packed optimum of a fit"):
+            standard_errors(dataclasses.replace(res, x=None), data)
 
     def test_doubling_sample_shrinks_se(self, fig1):
         data, _ = _simulate(60, 4, fig1, seed=31)

@@ -339,6 +339,11 @@ class TestMoments:
         with pytest.raises(ValueError, match="lie in"):
             MultiverseDistribution([1.5, -0.5])
 
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5]], [1.0]], ids=["2-D", "one-element"])
+    def test_probs_must_be_a_vector_of_two_or_more(self, probs):
+        with pytest.raises(ValueError, match="probs must be a vector of length >= 2"):
+            MultiverseDistribution(probs)
+
     def test_nan_probability_is_rejected(self):
         # NaN passes both `p < 0` and `|sum - 1| > tol` as False
         with warnings.catch_warnings():

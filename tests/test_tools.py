@@ -1,6 +1,8 @@
 """tools/compare_artifacts.py, run as a refactor runs it: a subprocess on
-two directories of artifacts."""
+two directories of artifacts; and tools/canonical_artifacts.py, whose
+outputs it compares."""
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-COMPARE = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
+ROOT = Path(__file__).resolve().parents[1]
+COMPARE = ROOT / "tools" / "compare_artifacts.py"
+CANONICAL = ROOT / "tools" / "canonical_artifacts.py"
 
 FIT = {"alpha": [-1.5, -2.0], "converged": True, "se": [0.125, 0.25], "warnings": []}
 CSV = "rater,item,c\n1,1,2.5\n1,2,3.25\n"
@@ -65,3 +69,27 @@ def test_a_file_on_one_side_only_is_named(dirs):
     assert f"extra.csv: only in {b}\n" in done.stdout
     assert f"fit.stdout: only in {b}\n" in done.stdout
     assert done.stdout.endswith("2 of 4 files differ\n")
+
+
+def test_canonical_artifacts_are_byte_identical_from_run_to_run(tmp_path):
+    """Two runs of every canonical CLI output give the same bytes, and each
+    `simulate` CSV is the same at 1 and 2 threads."""
+    # the two runs go side by side with one BLAS thread each, as the benchmark
+    # runs its children: OpenBLAS's default threads would oversubscribe the cores
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    runs = [tmp_path / "a", tmp_path / "b"]
+    procs = [subprocess.Popen([sys.executable, str(CANONICAL), str(out)], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+             for out in runs]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    done = compare(*runs)
+    assert done.returncode == 0, done.stdout
+    assert done.stdout.startswith("0 of ")
+    one_thread = sorted(runs[0].glob("simulate-*-threads1.csv"))
+    assert one_thread
+    for path in one_thread:
+        twin = path.with_name(path.name.replace("threads1", "threads2"))
+        assert path.read_bytes() == twin.read_bytes(), path.name

@@ -186,6 +186,8 @@ class TestValidateTree:
         report = validate_tree(tree)
         assert not report.valid
         assert any("all entries NA" in e for e in report.errors)
+        assert str(report) == ("tree is invalid:\n  - category 2: all entries NA\n"
+                               "  - category probabilities do not sum to 1 (max deviation 0.999)")
 
     def test_missing_leaf_breaks_sum(self):
         # three categories on two nodes but the (1,1) leaf is unclaimed
