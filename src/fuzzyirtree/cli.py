@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError, EstimationError) as e:
+    except (ValueError, EstimationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

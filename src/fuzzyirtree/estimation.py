@@ -331,6 +331,7 @@ class FitOptions:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        self.max_iter = _int_field("max_iter", self.max_iter)
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
@@ -692,6 +693,15 @@ def _json_field(doc: dict, key: str, convert, what: str, kind=object,
     except (TypeError, ValueError):
         msg = f"{owner} field '{key}' must be {what}, got {reprlib.repr(value)}"
         raise ValueError(msg) from None
+
+
+def _int_field(name, value) -> int:
+    """An option's integer value by operator.index: numpy integers pass, and a
+    float or a string is a ValueError that names the option."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: expected an integer, got {value!r}") from None
 
 
 def _json_int(value) -> int:

@@ -26,6 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .estimation import RatingMatrix
+from .tree import category_probability_table
+
 DEFAULT_GRID_POINTS = 201
 DEGENERATE_VARIANCE = 1e-9
 BLOCK_CELLS = 2 ** 14
@@ -235,9 +238,6 @@ def convert_all(fit, ratings=None) -> FuzzyRatingMatrix:
     eta_hat is I x N and alpha_hat J x N or J x 1 (broadcast over the nodes);
     `ratings`, a `RatingMatrix` of the same I x J, fills the crisp `y` column.
     """
-    from .estimation import RatingMatrix
-    from .tree import category_probability_table
-
     if ratings is not None and not isinstance(ratings, RatingMatrix):
         raise TypeError(f"ratings must be a RatingMatrix or None, got {type(ratings).__name__}")
     shape = (fit.eta_hat.shape[0], fit.alpha_hat.shape[0])

@@ -22,6 +22,7 @@ from .estimation import (
     FitOptions,
     ModelSpec,
     RatingMatrix,
+    _int_field,
     fit,
 )
 from .fuzzy import (
@@ -152,12 +153,16 @@ class SimDesign:
     direction: str = "faking-good"
 
     def __post_init__(self):
+        for name in ("B", "seed"):
+            object.__setattr__(self, name, _int_field(name, getattr(self, name)))
         if self.B < 1:
             raise ValueError("B must be >= 1")
         for name in ("I_levels", "J_levels", "pi_levels"):
             vals = tuple(getattr(self, name))
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
+            if name != "pi_levels":
+                vals = tuple(_int_field(name, v) for v in vals)
             object.__setattr__(self, name, vals)
         if min(self.I_levels + self.J_levels) < 1:
             raise ValueError("I and J levels must be >= 1")

@@ -632,6 +632,17 @@ class TestOutputFile:
         assert out.read_bytes() == b"previous output\n"
 
 
+def test_a_key_error_is_a_bug_not_a_domain_error(monkeypatch):
+    # every keyed read of an input document is checked first, so a KeyError
+    # can only come from the program and must not print as a bad input
+    def lookup_error(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "cmd_validate_tree", lookup_error)
+    with pytest.raises(KeyError, match="missing"):
+        main(["validate-tree", "--preset", "fig1-5cat"])
+
+
 class TestSimulate:
     def _design(self, tmp_path, B=2, seed=5):
         doc = {"I": [20], "J": [4], "pi": [0.0, 0.5], "B": B,

@@ -881,6 +881,11 @@ class TestFit:
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             FitOptions(max_iter=max_iter)
 
+    def test_iteration_limit_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="max_iter: expected an integer, got 2.5"):
+            FitOptions(max_iter=2.5)
+        assert FitOptions(max_iter=np.int64(3)).max_iter == 3
+
     def test_per_node_design_runs(self, fig1):
         data, _ = _simulate(60, 4, fig1, seed=3)
         spec = ModelSpec(fig1, trait_design="per-node", item_design="common",

@@ -88,12 +88,12 @@ def oracle_kaufmann_index(memberships):
 
 def oracle_kaufmann_support_table(c, l, r, omega):
     """The Kaufmann support kernel as it was before the closed form, kept as
-    an oracle: the membership on the y-grid l + (r - l) * m of the whole
-    table at once, reduced by `oracle_kaufmann_index`. Its last point can
+    an oracle: `oracle_membership_rows` on the y-grid l + (r - l) * m of the
+    whole table at once, reduced by `oracle_kaufmann_index`. Its last point can
     fall an ulp short of r, where the membership is then not 0."""
     c, l, r, w = (np.asarray(v, float)[..., None] for v in (c, l, r, omega))
     grid = l + (r - l) * np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    return oracle_kaufmann_index(_membership_rows(grid, c, l, r, w))
+    return oracle_kaufmann_index(oracle_membership_rows(grid, c, l, r, w))
 
 
 def oracle_kaufmann_support(c, l, r, omega):

@@ -231,6 +231,23 @@ class TestSimDesign:
         with pytest.raises(ValueError, match=match):
             SimDesign(**args)
 
+    @pytest.mark.parametrize("field,value", [
+        ("I_levels", (20.5,)), ("J_levels", (4, 5.0)), ("B", 2.0), ("seed", 1.5),
+    ], ids=["I", "J", "B", "seed"])
+    def test_counts_and_seed_must_be_integers(self, field, value, fig1):
+        # a float seed would otherwise run the study of its integer part, and a
+        # float count would fail only inside a replication
+        args = {"I_levels": (10,), "J_levels": (4,), "pi_levels": (0.0,), "B": 1,
+                "tree": fig1, field: value}
+        with pytest.raises(ValueError, match=f"{field}: expected an integer"):
+            SimDesign(**args)
+
+    def test_numpy_integers_are_accepted(self, fig1):
+        d = SimDesign((np.int64(10),), (np.int32(4),), (0.0,), np.int64(2), fig1,
+                      seed=np.uint64(3))
+        assert (d.I_levels, d.J_levels, d.B, d.seed) == ((10,), (4,), 2, 3)
+        assert all(type(v) is int for v in (*d.I_levels, *d.J_levels, d.B, d.seed))
+
     def test_cells_product_order(self, fig1):
         d = SimDesign((10, 20), (4,), (0.0, 0.5), 1, fig1)
         assert d.cells() == [(10, 4, 0.0), (10, 4, 0.5), (20, 4, 0.0), (20, 4, 0.5)]

@@ -32,6 +32,12 @@ command's exit code. The outputs:
 - `eval` of one membership function at its endpoints, its mode and a point
   on each side, and on the `--grid` of three curvatures and of numbers
   whose mode is an endpoint or that are degenerate (`EVALS`).
+
+BLAS runs on one thread whatever the shell says: the tool sets
+`OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` to 1 before numpy loads, as the
+count moves bits (one `se` of fit-fig1-5cat-pernode-pernode-diag by 1.4e-16
+relative at 2 threads) and more threads only spin on these small matrices.
+The package itself sets no environment variable.
 """
 from __future__ import annotations
 
@@ -41,10 +47,14 @@ import json
 import os
 import sys
 
+# BLAS reads these once, when numpy loads it
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from fuzzyirtree import estimation, generate_true_data, preset_tree
 from fuzzyirtree.cli import main
+from fuzzyirtree.simulation import _draw_categories
 from fuzzyirtree.tree import category_probability_table
 
 SEED = 2024
@@ -117,10 +127,8 @@ def correlated_ratings(I, rng):
     tree = preset_tree("fig2-6cat")
     cov = 0.8 * (0.5 * np.eye(tree.N) + 0.5)
     eta = rng.standard_normal((I, tree.N)) @ np.linalg.cholesky(cov).T
-    cdf = np.cumsum(category_probability_table(tree, eta[:, None, :], CASE_STUDY_ALPHA[None]),
-                    axis=-1)
-    cdf[..., -1] = 1.0
-    return (cdf < rng.random((I, len(CASE_STUDY_ALPHA)))[..., None]).sum(axis=-1) + 1
+    return _draw_categories(
+        category_probability_table(tree, eta[:, None, :], CASE_STUDY_ALPHA[None]), rng)
 
 
 def write_generating_artifact(path, tree, gen):
@@ -133,17 +141,6 @@ def write_generating_artifact(path, tree, gen):
         fh.write(estimation.fit_to_json(truth) + "\n")
 
 
-def run(outdir, name, argv, codes):
-    """Run one CLI command; keep its stdout and stderr with OUTDIR masked."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    for suffix, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
-        with open(os.path.join(outdir, f"{name}.{suffix}"), "w", encoding="utf-8") as fh:
-            fh.write(text.replace(outdir, "OUTDIR"))
-    codes.append(f"{name} {code}")
-
-
 def write_all(outdir):
     outdir = os.path.abspath(outdir)
     os.makedirs(outdir, exist_ok=True)
@@ -152,43 +149,45 @@ def write_all(outdir):
     def path(name):
         return os.path.join(outdir, name)
 
+    def run(name, argv):
+        """Run one CLI command; keep its stdout and stderr with OUTDIR masked."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        for suffix, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+            with open(path(f"{name}.{suffix}"), "w", encoding="utf-8") as fh:
+                fh.write(text.replace(outdir, "OUTDIR"))
+        codes.append(f"{name} {code}")
+
+    def fit_and_convert(label, preset, ratings, extra):
+        """Fit `ratings` under `extra` as fit-{label}, then convert that fit."""
+        fit = path(f"fit-{label}.json")
+        run(f"fit-{label}", ["fit", "--preset", preset, "--data", ratings, "--out", fit, *extra])
+        run(f"convert-{label}", ["convert", "--preset", preset, "--fit", fit, "--data", ratings,
+                                 "--out", path(f"convert-{label}.csv")])
+
+    generated = {}
     for preset in PRESETS:
         tree = preset_tree(preset)
         gen = generate_true_data(150, 20, tree, ALPHA0, SIGMA_ALPHA, np.random.default_rng(SEED))
         ratings = path(f"ratings-{preset}.csv")
         write_ratings(ratings, gen.ratings.values)
+        generated[preset] = gen.ratings.values
         for label, extra in FIT_DESIGNS.items():
-            name = f"fit-{preset}-{label}"
-            run(outdir, name, ["fit", "--preset", preset, "--data", ratings,
-                               "--out", path(f"{name}.json"), *extra], codes)
-            run(outdir, f"convert-{preset}-{label}",
-                ["convert", "--preset", preset, "--fit", path(f"{name}.json"),
-                 "--data", ratings, "--out", path(f"convert-{preset}-{label}.csv")], codes)
+            fit_and_convert(f"{preset}-{label}", preset, ratings, extra)
 
     correlated = path("ratings-correlated.csv")
     write_ratings(correlated, correlated_ratings(150, np.random.default_rng(SEED)))
     for label, extra in UNSTRUCTURED_DESIGNS.items():
-        name = f"fit-correlated-{label}"
-        run(outdir, name, ["fit", "--preset", "fig2-6cat", "--data", correlated,
-                           "--out", path(f"{name}.json"), *extra], codes)
-        run(outdir, f"convert-correlated-{label}",
-            ["convert", "--preset", "fig2-6cat", "--fit", path(f"{name}.json"),
-             "--data", correlated, "--out", path(f"convert-correlated-{label}.csv")], codes)
+        fit_and_convert(f"correlated-{label}", "fig2-6cat", correlated, extra)
 
     separated = path("ratings-separated.csv")
     write_ratings(separated, np.full((2, 3), 3))
-    run(outdir, "fit-separated", ["fit", "--preset", "fig1-5cat", "--data", separated,
-                                  "--out", path("fit-separated.json")], codes)
+    run("fit-separated", ["fit", "--preset", "fig1-5cat", "--data", separated,
+                          "--out", path("fit-separated.json")])
 
-    untidy = path("ratings-untidy.csv")
-    gen = generate_true_data(150, 20, preset_tree("fig1-5cat"), ALPHA0, SIGMA_ALPHA,
-                             np.random.default_rng(SEED))
-    write_untidy_ratings(untidy, gen.ratings.values)
-    run(outdir, "fit-untidy", ["fit", "--preset", "fig1-5cat", "--data", untidy,
-                               "--out", path("fit-untidy.json")], codes)
-    run(outdir, "convert-untidy", ["convert", "--preset", "fig1-5cat", "--fit",
-                                   path("fit-untidy.json"), "--data", untidy,
-                                   "--out", path("convert-untidy.csv")], codes)
+    write_untidy_ratings(path("ratings-untidy.csv"), generated["fig1-5cat"])
+    fit_and_convert("untidy", "fig1-5cat", path("ratings-untidy.csv"), [])
 
     tree = preset_tree("fig1-5cat")
     for I, J, runs in ((2000, 40, ("data", "no-data")), (12000, 2, ("data",))):
@@ -198,22 +197,22 @@ def write_all(outdir):
         write_ratings(path(f"ratings-{size}.csv"), gen.ratings.values)
         for label in runs:
             extra = ["--data", path(f"ratings-{size}.csv")] if label == "data" else []
-            run(outdir, f"convert-{size}-{label}",
+            run(f"convert-{size}-{label}",
                 ["convert", "--preset", "fig1-5cat", "--fit", path(f"generating-{size}.json"),
-                 "--out", path(f"convert-{size}-{label}.csv"), *extra], codes)
+                 "--out", path(f"convert-{size}-{label}.csv"), *extra])
 
     for label, doc in DESIGNS.items():
         with open(path(f"design-{label}.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         for threads in ("1", "2"):
             name = f"simulate-{label}-threads{threads}"
-            run(outdir, name, ["simulate", "--design", path(f"design-{label}.json"),
-                               "--out", path(f"{name}.csv"), "--threads", threads], codes)
+            run(name, ["simulate", "--design", path(f"design-{label}.json"),
+                       "--out", path(f"{name}.csv"), "--threads", threads])
 
     for preset in PRESETS:
-        run(outdir, f"validate-tree-{preset}", ["validate-tree", "--preset", preset], codes)
+        run(f"validate-tree-{preset}", ["validate-tree", "--preset", preset])
     for label, argv in EVALS.items():
-        run(outdir, f"eval-{label}", ["eval", *argv], codes)
+        run(f"eval-{label}", ["eval", *argv])
 
     with open(path("exit-codes.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(codes) + "\n")
