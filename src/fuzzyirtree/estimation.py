@@ -3,18 +3,18 @@
 Ratings are expanded into node-wise Bernoulli pseudo-observations; the
 Gaussian random effect per rater is integrated out with a Laplace
 approximation around the per-rater joint-likelihood mode, and the fixed
-effects plus covariance parameters are maximized by L-BFGS-B over the
-resulting marginal log-likelihood. One Laplace evaluation (`_laplace`)
-gives the value, its exact gradient and the per-rater state at the modes,
-as in TMB (Kristensen et al. 2016). The gradient follows the
-implicit-function rule of automatic Laplace approximation (Skaug & Fournier
-2006): the envelope term at the modes plus the derivative of
--1/2 log det(-Hessian), with the modes moving as dη̂ = H⁻¹ ∂g. The fit's
-objective reads the value and the gradient through `laplace_marginal_loglik`;
-its convergence check reads L-BFGS-B's returned `fun` and `jac`, the last
-evaluation. The standard errors use the exact observed information, the
-derivative of that gradient taken once more in forward mode along every
-parameter from the same evaluation's state (`_observed_information`).
+effects plus covariance parameters are maximized over the resulting
+marginal log-likelihood. One Laplace evaluation (`_laplace`) gives the
+value, its exact gradient and the per-rater state at the modes, as in TMB
+(Kristensen et al. 2016). The gradient follows the implicit-function rule
+of automatic Laplace approximation (Skaug & Fournier 2006): the envelope
+term at the modes plus the derivative of -1/2 log det(-Hessian), with the
+modes moving as dη̂ = H⁻¹ ∂g. The exact observed information, that
+gradient's derivative in forward mode along every parameter from the same
+state (`_observed_information`), is the Hessian of the standard errors and
+of the fit's projected Newton loop (Bertsekas 1982), which steps standard
+deviations so that it reaches their bound e^-8, which stands for sigma = 0,
+as lme4 treats theta >= 0 (Bates et al. 2015).
 
 The trait covariance of every design is Sigma = S R S: S = diag(exp s)
 holds the log standard deviations and R = L L' a correlation matrix whose
@@ -52,6 +52,9 @@ INNER_TOL = 1e-8
 INNER_DECREMENT_TOL = 1e-12
 INNER_MAX_ITER = 100
 ALPHA_BOUND = 15.0
+ARMIJO_C = 1e-4       # sufficient decrease of an outer Newton step
+OUTER_HALVINGS = 30   # trial points of one outer step before it gives up
+DAMPING_FLOOR = 1e-8  # first Levenberg shift, relative to the largest |Hessian entry|
 
 TRAIT_DESIGNS = ("common", "per-node")
 ITEM_DESIGNS = ("common", "per-node")
@@ -350,10 +353,9 @@ class FitResult:
     warnings: list = field(default_factory=list)
     x: np.ndarray | None = None    # packed optimum (alpha params + cov params)
     # how the fit got its answer; not part of the JSON artifact. `stop` is
-    # "gradient" (projected gradient below tol), "optimizer" (accepted only on
-    # L-BFGS-B's own stop) or None (not converged); the *_s entries are
-    # perf_counter seconds, `optimize_s` the L-BFGS-B loop and `se_s` None
-    # when no SEs were computed
+    # "gradient" (projected gradient below tol) or None (not converged, and
+    # `message` says why); the *_s entries are perf_counter seconds,
+    # `optimize_s` the Newton loop and `se_s` None when no SEs were computed
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -419,7 +421,7 @@ def _cov_params(chol, spec: ModelSpec) -> np.ndarray:
 
 
 def _cov_bounds(spec: ModelSpec) -> list:
-    """L-BFGS-B bounds of the covariance parameters: [-8, 5] on log standard
+    """Bounds of the covariance parameters: [-8, 5] on log standard
     deviations, [-20, 20] on the correlation factor entries b_ij."""
     sd, _, size = spec.cov_layout
     return [(-8.0, 5.0) if k in sd else (-20.0, 20.0) for k in range(size)]
@@ -459,38 +461,58 @@ def _separation_warnings(pseudo: PseudoData, tree: ResponseTree) -> list:
 def _make_objective(pseudo: PseudoData, spec: ModelSpec):
     """The Laplace objective of a fit: packed x -> (-L, -dL/dx).
 
-    The closure starts each inner Newton from the modes of its previous
-    evaluation and keeps them in `objective.modes`, and a copy of its x in
-    `objective.x`; `objective.evaluations` counts its calls. Make one per
-    fit: the closure is not shared.
+    The closure starts each inner Newton from `objective.modes` (zero when
+    None) and keeps its last evaluation's `_Laplace` record in
+    `objective.lap`; `objective.evaluations` counts its calls, failed ones
+    included. Make one per fit: the closure is not shared.
     """
     n_alpha = pseudo.J * spec.item_cols
 
     def objective(x):
-        alpha = x[:n_alpha].reshape(pseudo.J, spec.item_cols)
-        sigma, chain, _ = _cov_map(x[n_alpha:], spec)
-        value, d_alpha, g_sigma, eta = laplace_marginal_loglik(
-            alpha, sigma, pseudo, eta0=objective.modes
-        )
-        objective.modes, objective.x = eta, x.copy()
         objective.evaluations += 1
-        return -value, -_pack(d_alpha, chain(g_sigma))
+        sigma, chain, _ = _cov_map(x[n_alpha:], spec)
+        lap = _laplace(x[:n_alpha].reshape(pseudo.J, spec.item_cols), sigma, pseudo,
+                       objective.modes)
+        objective.lap = lap
+        return -lap.value, -_pack(lap.d_alpha, chain(lap.g_sigma))
 
-    objective.modes = objective.x = None
+    objective.modes = objective.lap = None
     objective.evaluations = 0
     return objective
+
+
+def _newton_step(h, g):
+    """(-(h + mu I)^-1 g, mu) at the first Levenberg shift mu, 0 or
+    DAMPING_FLOOR * max|h| * 10^k, at which h + mu I has a Cholesky factor;
+    (NaN, inf) if none up to 1e21 * max|h| has (h is not finite)."""
+    for mu in (0.0, *DAMPING_FLOOR * max(1.0, np.abs(h).max()) * 10.0 ** np.arange(30)):
+        shifted = h + mu * np.eye(g.size)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue
+        return -np.linalg.solve(shifted, g), mu
+    return np.full_like(g, np.nan), np.inf
 
 
 def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) -> FitResult:
     """Maximize the Laplace marginal likelihood over fixed effects and covariance.
 
+    A projected Newton loop on the exact Hessian H of -L. Its gradient g is
+    read per unit sigma on each log sd s = log sigma (D g, with D = 1/sigma
+    there and 1 elsewhere), and the fit has converged when that is below
+    `tol` on the free coordinates, those not at a bound with g pointing out.
+    A step moves sigma, solving D (H - diag(g_s)) D dy = -D g on the free
+    coordinates, unless that system needs a Levenberg shift or passes
+    sigma = 0 by more than sigma; then it moves s, solving H ds = -g under
+    the least shift that makes H positive definite. The trial point y + t dy
+    is clipped to the box, with t halved until Armijo's rule holds. A trial
+    where the inner Newton fails is rejected; one at the start is raised.
+    The answer is the last accepted evaluation, valued once.
+
     Separation, non-convergence and NaN-SE notes go to `FitResult.warnings`;
     nothing is issued as a `UserWarning`.
     """
-    # imported here, not at module top, so that the commands that do not fit
-    # (convert, eval, validate-tree) never load the optimizer
-    from scipy.optimize import minimize
-
     options = options or FitOptions()
     tree = spec.tree
     t0 = time.perf_counter()
@@ -498,34 +520,57 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     pseudo_data_s = time.perf_counter() - t0
     notes = _separation_warnings(pseudo, tree)
     n_alpha = data.J * spec.item_cols
-    bounds = [(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)
+    lo, hi = np.array([(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)).T
+    is_sd = np.isin(np.arange(lo.size), n_alpha + spec.cov_layout[0])
     objective = _make_objective(pseudo, spec)
     t0 = time.perf_counter()
-    res = minimize(objective, _start_values(pseudo, spec), jac=True, method="L-BFGS-B",
-                   bounds=bounds,
-                   options={"maxiter": options.max_iter, "ftol": 1e-14, "gtol": options.tol})
-    x = res.x
-    # x is other than the last evaluated point only after a failed line search
-    nll, g = (res.fun, res.jac) if np.array_equal(x, objective.x) else objective(x)
+    x = _start_values(pseudo, spec)
+    nll, g = objective(x)
+    lap, iterations, message = objective.lap, 0, "projected gradient below tol"
+    while True:
+        objective.modes = lap.eta
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        pg_max = float(np.abs(np.where(is_sd, np.exp(-x), 1.0) * g)[free].max(initial=0.0))
+        if pg_max < options.tol:
+            break
+        if iterations == options.max_iter:
+            message = f"stopped at the iteration limit of {options.max_iter}"
+            break
+        hess, step = _observed_information(x, lap, pseudo, spec)[0], np.zeros_like(x)
+        for as_sigma in (is_sd, np.zeros_like(is_sd)):  # sigma steps, else log-sd steps
+            d = np.where(as_sigma, np.exp(-x), 1.0)
+            h_y = d[:, None] * (hess - np.diag(np.where(as_sigma, g, 0.0))) * d
+            step[free], mu = _newton_step(h_y[np.ix_(free, free)], (d * g)[free])
+            if mu == 0.0 and (step * d >= -2.0)[as_sigma].all():
+                break
+        y = np.where(as_sigma, np.exp(x), x)
+        for k in range(OUTER_HALVINGS if np.isfinite(step).all() else 0):
+            y_t = y + 0.5 ** k * step
+            x_t = np.where(as_sigma, np.log(np.maximum(y_t, np.exp(lo))), y_t).clip(lo, hi)
+            try:
+                nll_t, g_t = objective(x_t)
+            except EstimationError:
+                continue
+            if nll_t <= nll + ARMIJO_C * (d * g) @ (np.where(as_sigma, np.exp(x_t), x_t) - y):
+                x, nll, g, lap, iterations = x_t, nll_t, g_t, objective.lap, iterations + 1
+                break
+        else:
+            message = "no trial point along the Newton step decreases -L"
+            break
     optimize_s = time.perf_counter() - t0
-    lo, hi = np.array(bounds).T
-    g_proj = g.copy()
-    g_proj[(x <= lo) & (g > 0)] = 0.0
-    g_proj[(x >= hi) & (g < 0)] = 0.0
-    pg_max = float(np.abs(g_proj).max())
-    stop = "gradient" if pg_max < options.tol else "optimizer" if res.success else None
+    stop = "gradient" if pg_max < options.tol else None
     converged = stop is not None
     if not converged:
-        notes = notes + [f"did not converge after {res.nit} iterations"]
+        notes = notes + [f"did not converge after {iterations} iterations"]
 
     result = FitResult(
         alpha_hat=x[:n_alpha].reshape(data.J, spec.item_cols),
         sigma_hat=_cov_map(x[n_alpha:], spec)[0],
-        eta_hat=_expand_modes(objective.modes, tree.N),
+        eta_hat=_expand_modes(lap.eta, tree.N),
         log_marginal_lik=-nll,
         se_alpha=None,
         converged=converged,
-        iterations=int(res.nit),
+        iterations=iterations,
         model=spec,
         tree_digest=tree.digest(),
         warnings=notes,
@@ -533,7 +578,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
         diagnostics={
             "objective_evaluations": objective.evaluations,
             "projected_gradient_max": pg_max,
-            "message": str(res.message),
+            "message": message,
             "stop": stop,
             "pseudo_data_s": pseudo_data_s,
             "optimize_s": optimize_s,
@@ -560,11 +605,11 @@ def posterior_modes(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     return _expand_modes(eta, spec.tree.N)
 
 
-def _observed_information(x, pseudo: PseudoData, spec: ModelSpec, eta0):
+def _observed_information(x, lap: _Laplace, pseudo: PseudoData, spec: ModelSpec):
     """Exact Hessian of the objective -L at packed x, and the tangent of
     the modes, (I, d, n) for the n parameters.
 
-    The modes are solved once, from `eta0`, by `_laplace`; then all n unit
+    `lap` is the `_Laplace` record of the evaluation at x; all n unit
     directions dx go through its per-rater state at once (forward mode of
     its gradient). With dlp = deta[c] + dalpha[a] per record at
     mode cell c and easiness cell a, and dQ = -Q dSigma Q:
@@ -579,11 +624,8 @@ def _observed_information(x, pseudo: PseudoData, spec: ModelSpec, eta0):
     chain(dG), plus `curvature`'s second-order term.
     """
     n_alpha = pseudo.J * spec.item_cols
-    alpha = x[:n_alpha].reshape(pseudo.J, spec.item_cols)
-    sigma, _, curvature = _cov_map(x[n_alpha:], spec)
-    _, _, g_sigma, inner, sinv, flat, eta, a_inv, a_diag, s, u, t, v = _laplace(
-        alpha, sigma, pseudo, eta0)
-    d_sigma, d_chain = curvature(g_sigma)
+    _, _, g_sigma, inner, sinv, flat, eta, a_inv, a_diag, s, u, t, v = lap
+    d_sigma, d_chain = _cov_map(x[n_alpha:], spec)[2](g_sigma)
     n_raters, d = eta.shape
     n = x.size
 
@@ -625,7 +667,7 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     """Square roots of the inverse observed information, for the easiness part.
 
     The information is the exact Hessian of the Laplace objective at the
-    optimum (`_observed_information`): one inner Newton solve at `fitres.x`
+    optimum (`_observed_information`): one Laplace evaluation at `fitres.x`
     from the fit's modes, then one forward-mode pass of the analytic
     gradient along every parameter. Where it is not invertible or gives a
     negative variance, every SE is NaN, and `fit` says so in
@@ -638,8 +680,10 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     if data.values.shape != shape:
         raise ValueError(f"ratings must be {shape} as in the fit, got {data.values.shape}")
     pseudo = PseudoData.from_ratings(data, spec.tree)
-    n_alpha = fitres.alpha_hat.size
-    hess, _ = _observed_information(fitres.x, pseudo, spec, fitres.eta_hat[:, : spec.re_dim])
+    x, n_alpha = fitres.x, fitres.alpha_hat.size
+    lap = _laplace(x[:n_alpha].reshape(fitres.alpha_hat.shape), _cov_map(x[n_alpha:], spec)[0],
+                   pseudo, fitres.eta_hat[:, : spec.re_dim])
+    hess, _ = _observed_information(x, lap, pseudo, spec)
     try:
         cov = np.linalg.inv(hess)
         diag = np.diag(cov)[:n_alpha]

@@ -274,13 +274,9 @@ def run_study(design: SimDesign, threads: int = 1) -> SimResult:
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # fork, not the platform default: workers inherit the parent's loaded
-        # modules, and callers need no __main__ guard. `fit` imports the
-        # optimizer on first use, so it is loaded here, once, before the fork;
-        # otherwise every worker would import it on its first fit. Fork copies
-        # only the calling thread, so other threads of the caller must not
-        # hold locks that a replication takes.
-        import scipy.optimize  # noqa: F401
-
+        # modules, and callers need no __main__ guard. Fork copies only the
+        # calling thread, so other threads of the caller must not hold locks
+        # that a replication takes.
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
             reps = list(pool.map(_run_replication, *zip(*tasks), chunksize=1))

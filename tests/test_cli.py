@@ -793,7 +793,7 @@ def test_installed_entry_point(tmp_path):
 
 
 class TestOptimizerImport:
-    """Only the commands that fit load scipy.optimize; each case is a fresh process."""
+    """No command loads scipy.optimize; each case is a fresh process."""
 
     SCRIPT = """
 import json, sys
@@ -822,13 +822,16 @@ print(json.dumps([before, codes, "scipy.optimize" in sys.modules]))
         ]
         assert self._run(commands) == [False, [EXIT_OK] * 3, False]
 
-    def test_fit_loads_it(self, ratings_csv, tmp_path):
+    def test_fit_does_not_load_it(self, ratings_csv, tmp_path):
         path, _ = ratings_csv
         fit = ["fit", "--preset", "fig1-5cat", "--data", str(path),
-               "--out", str(tmp_path / "fit.json"), "--no-se"]
-        assert self._run([fit]) == [False, [EXIT_OK], True]
+               "--out", str(tmp_path / "fit.json")]
+        assert self._run([fit]) == [False, [EXIT_OK], False]
 
-    def test_pool_loads_it_before_the_fork(self):
-        # the parent of a pool never fits, so the module can only have come
-        # from the import before the workers were forked
-        assert self._run([], study=True) == [False, [], True]
+    def test_serial_and_pooled_studies_do_not_load_it(self, tmp_path):
+        # the serial study fits in this process, then a threads=2 study forks
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"I": [20], "J": [4], "pi": [0.0], "B": 2,
+                                      "tree": "fig1-5cat", "seed": 5}))
+        simulate = ["simulate", "--design", str(design), "--out", str(tmp_path / "s.csv")]
+        assert self._run([simulate], study=True) == [False, [EXIT_OK], False]

@@ -32,7 +32,7 @@ from fuzzyirtree.estimation import (
     standard_errors,
 )
 from fuzzyirtree.fuzzy import convert_all
-from fuzzyirtree.simulation import generate_true_data
+from fuzzyirtree.simulation import FakingModel, _replication_rng, generate_true_data, perturb
 from fuzzyirtree.tree import category_probability_table, preset_tree
 
 # the step of `gradient_difference_hessian`, relative to max(1, |x|)
@@ -224,6 +224,15 @@ def gradient_difference_hessian(x, pseudo, spec, eta0):
         far = grad(x + 2.0 * step) - grad(x - 2.0 * step)
         hess[:, i] = (8.0 * near - far) / (12.0 * h[i])
     return 0.5 * (hess + hess.T)
+
+
+def information_at(x, pseudo, spec, eta0):
+    """`_observed_information` at x, on the Laplace evaluation whose inner
+    Newton starts from `eta0`."""
+    objective = _make_objective(pseudo, spec)
+    objective.modes = eta0
+    objective(x)
+    return _observed_information(x, objective.lap, pseudo, spec)
 
 
 def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, exhausted=None):
@@ -762,7 +771,7 @@ class TestFit:
         a = fit(data, spec, FitOptions(compute_se=False))
         b = fit(RatingMatrix(data.values[perm], 5), spec, FitOptions(compute_se=False))
         # reordering changes floating-point summation order, which nudges the
-        # quasi-Newton path; the optima agree to optimizer tolerance
+        # Newton path; the optima agree to the fit's tolerance
         np.testing.assert_allclose(b.alpha_hat, a.alpha_hat, atol=1e-4)
         np.testing.assert_allclose(b.eta_hat, a.eta_hat[perm], atol=1e-4)
 
@@ -798,67 +807,104 @@ class TestFit:
             assert isinstance(diag[key], float) and diag[key] >= 0.0
 
     @staticmethod
-    def _recorded_minimize(monkeypatch, returned=None):
-        """Wrap scipy's `minimize`, which `fit` imports at call time. The
-        wrapper keeps the L-BFGS-B result in `seen["res"]` and the objective's
-        modes when it returns in `seen["modes"]`. With `returned`, it records
-        each evaluation (x, fun, jac) and returns the point `returned` picks
-        from them, with its fun and jac, in place of L-BFGS-B's."""
-        import scipy.optimize
-        minimize, seen = scipy.optimize.minimize, {}
+    def _recorded_laplace(monkeypatch, fail_at=()):
+        """Wrap `_laplace`, which the fit's objective calls once per point. The
+        wrapper records each call as (alpha, sigma, its `_Laplace` record), and
+        at the call numbers in `fail_at` records (alpha, sigma, None) and
+        raises the inner Newton's EstimationError instead."""
+        laplace, calls = estimation._laplace, []
 
-        def wrapper(objective, x0, **kwargs):
-            calls = []
+        def wrapper(alpha, sigma, pseudo, eta0=None):
+            if len(calls) in fail_at:
+                calls.append((alpha.copy(), sigma.copy(), None))
+                raise EstimationError("inner Newton failed to converge for rater 0")
+            calls.append((alpha.copy(), sigma.copy(), laplace(alpha, sigma, pseudo, eta0)))
+            return calls[-1][2]
 
-            def recorded(x):
-                fun, jac = objective(x)
-                calls.append((x.copy(), fun, jac))
-                return fun, jac
+        monkeypatch.setattr(estimation, "_laplace", wrapper)
+        return calls
 
-            res = minimize(recorded, x0, **kwargs)
-            seen.update(res=res, modes=objective.modes)
-            if returned is not None:
-                res.x, res.fun, res.jac = returned(calls)
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", wrapper)
-        return seen
-
-    def test_answer_is_the_last_lbfgsb_evaluation(self, fig1, monkeypatch):
-        seen = self._recorded_minimize(monkeypatch)
+    def test_answer_is_the_last_accepted_evaluation(self, fig1, monkeypatch):
+        # a converged fit stops on the evaluation it accepted last and reads
+        # its log-likelihood and modes off it, valuing no point again
+        calls = self._recorded_laplace(monkeypatch)
         res = fit(self._seed_2024_data(fig1), ModelSpec(fig1), FitOptions(compute_se=False))
         assert res.diagnostics["stop"] == "gradient"
-        assert res.diagnostics["objective_evaluations"] == seen["res"].nfev
-        assert res.log_marginal_lik == -seen["res"].fun
-        np.testing.assert_array_equal(res.eta_hat, np.repeat(seen["modes"], fig1.N, axis=1))
+        assert res.diagnostics["objective_evaluations"] == len(calls)
+        assert len(calls) >= res.iterations + 1
+        alpha, sigma, lap = calls[-1]
+        np.testing.assert_array_equal(alpha, res.alpha_hat)
+        np.testing.assert_array_equal(sigma, res.sigma_hat)
+        assert res.log_marginal_lik == lap.value
+        np.testing.assert_array_equal(res.eta_hat, np.repeat(lap.eta, fig1.N, axis=1))
+        assert not any(np.array_equal(a, alpha) for a, _, _ in calls[:-1])
 
-    def test_an_earlier_returned_point_is_evaluated_again(self, fig1, monkeypatch):
-        # after a failed line search L-BFGS-B returns an earlier point than its
-        # last evaluation, with that point's fun and jac; the fit then values it
-        # once more and reports that evaluation, whose warm start is the modes
-        # of the last one
-        seen = self._recorded_minimize(monkeypatch, returned=lambda calls: calls[-3])
+    def test_a_trial_where_the_inner_newton_fails_is_rejected(self, fig1, monkeypatch):
+        # the first trial point raises; the fit halves the step and goes on to
+        # the same optimum
         data, spec = self._seed_2024_data(fig1), ModelSpec(fig1)
+        want = fit(data, spec, FitOptions(compute_se=False))
+        calls = self._recorded_laplace(monkeypatch, fail_at={1})
         res = fit(data, spec, FitOptions(compute_se=False))
-        assert res.diagnostics["objective_evaluations"] == seen["res"].nfev + 1
-        reference = _make_objective(PseudoData.from_ratings(data, fig1), spec)
-        reference.modes = seen["modes"]
-        nll, g = reference(res.x)
-        assert res.log_marginal_lik == -nll
-        np.testing.assert_array_equal(res.eta_hat, np.repeat(reference.modes, fig1.N, axis=1))
-        assert not np.array_equal(reference.modes, seen["modes"])
-        lo, hi = np.array([(-estimation.ALPHA_BOUND, estimation.ALPHA_BOUND)] * data.J
-                          + _cov_bounds(spec)).T
-        assert ((lo < res.x) & (res.x < hi)).all()  # no bound projects the gradient
-        assert res.diagnostics["projected_gradient_max"] == np.abs(g).max()
+        assert calls[1][2] is None and calls[2][2] is not None
+        start, failed, halved = (c[0] for c in calls[:3])
+        np.testing.assert_allclose(halved - start, 0.5 * (failed - start), rtol=1e-12)
+        assert res.diagnostics["stop"] == "gradient"
+        assert res.diagnostics["objective_evaluations"] == len(calls)
+        assert res.log_marginal_lik == pytest.approx(want.log_marginal_lik, rel=0, abs=1e-8)
+        np.testing.assert_allclose(res.alpha_hat, want.alpha_hat, rtol=0, atol=1e-5)
 
-    def test_stop_on_the_optimizer_rule_is_reported(self, fig1):
-        # at tol 1e-9 L-BFGS-B stops on its relative reduction of f with a
-        # projected gradient above tol, and the fit is accepted on that alone
-        res = fit(self._seed_2024_data(fig1), ModelSpec(fig1), FitOptions(tol=1e-9))
-        assert res.converged
-        assert res.diagnostics["stop"] == "optimizer"
-        assert res.diagnostics["projected_gradient_max"] >= 1e-9
+    def test_no_acceptable_trial_point_ends_the_fit(self, fig1, monkeypatch):
+        # every trial point raises: the fit keeps its start values and says why
+        calls = self._recorded_laplace(monkeypatch, fail_at=range(1, 1000))
+        res = fit(self._seed_2024_data(fig1), ModelSpec(fig1))
+        assert not res.converged and res.iterations == 0 and res.se_alpha is None
+        assert len(calls) == res.diagnostics["objective_evaluations"] == 1 + estimation.OUTER_HALVINGS
+        assert res.diagnostics["message"] == "no trial point along the Newton step decreases -L"
+        assert "did not converge after 0 iterations" in res.warnings
+        assert res.log_marginal_lik == calls[0][2].value
+
+    @pytest.mark.parametrize("cell, J, loglik, sd", [(3, 10, -783.7597, 0.1417),
+                                                     (7, 20, -1577.5988, 0.0718)])
+    def test_sd_leaves_its_bound_where_the_likelihood_rises(self, cell, J, loglik, sd, fig1):
+        # replication 1 of the README factorial's cell (I 50, J, pi 0.75) at
+        # seed 1. On log sds the fit stopped at sigma = e^-8, where dL/ds is
+        # below tol whatever its sign, 0.13 (J 10) and 0.04 (J 20) below the
+        # interior maximum; per unit sigma the gradient there is not small
+        rng = _replication_rng(1, cell, 1)
+        data = perturb(generate_true_data(50, J, fig1, -1.75, 0.25, rng).ratings,
+                       FakingModel(0.75), rng)
+        res = fit(data, ModelSpec(fig1), FitOptions(compute_se=False))
+        assert res.diagnostics["stop"] == "gradient"
+        assert res.log_marginal_lik == pytest.approx(loglik, rel=0, abs=1e-4)
+        assert np.sqrt(res.sigma_hat[0, 0]) == pytest.approx(sd, rel=1e-3)
+        # a sigma step from sigma = 1 would overshoot to the bound, and the fit
+        # would leave it by about a tenth of sigma per step; the log-sd step
+        # goes to the maximum directly
+        assert res.iterations <= 8
+
+    @staticmethod
+    def _pernode_ratings(I, J, rng):
+        """fig2-6cat ratings from a 4-D trait with variance 0.8 and
+        correlation 0.5 and per-node easiness -0.5 + 0.5 N(0, 1)."""
+        tree = preset_tree("fig2-6cat")
+        cov = 0.8 * (0.5 * np.eye(tree.N) + 0.5)
+        eta = rng.standard_normal((I, tree.N)) @ np.linalg.cholesky(cov).T
+        alpha = -0.5 + 0.5 * rng.standard_normal((J, tree.N))
+        probs = category_probability_table(tree, eta[:, None, :], alpha[None, :, :])
+        cdf = np.cumsum(probs, axis=-1)
+        cdf[..., -1] = 1.0
+        return RatingMatrix((cdf < rng.random((I, J))[..., None]).sum(axis=-1) + 1, tree.M)
+
+    @pytest.mark.parametrize("seed", range(7, 13))
+    def test_unstructured_fits_converge(self, seed):
+        # seed 12's path takes an sd to its bound e^-8 and seeds 7 and 11 take
+        # 22-25 steps; every fit must end on the gradient rule
+        data = self._pernode_ratings(150, 10, np.random.default_rng(seed))
+        spec = ModelSpec(preset_tree("fig2-6cat"), *CASE_STUDY_SPEC)
+        res = fit(data, spec, FitOptions(compute_se=False))
+        assert res.diagnostics["stop"] == "gradient"
+        assert res.diagnostics["projected_gradient_max"] < FitOptions().tol
 
     def test_diagnostics_not_in_artifact(self, fitted):
         res, _, _, _ = fitted
@@ -872,7 +918,7 @@ class TestFit:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_finite_and_positive(self, tol):
-        # L-BFGS-B's own stop would otherwise report such a fit as converged
+        # 0 and NaN could never be met, and inf would accept the start values
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             FitOptions(tol=tol)
 
@@ -896,10 +942,10 @@ class TestFit:
         assert res.eta_hat.shape == (60, 4)
 
     def test_unstructured_fit_stalled_on_rounding_noise_converges(self, fig1):
-        # rater 0 ends its 100 inner Newton steps at gradient 9.5e-7 with the
-        # line search rejecting every step on f's rounding noise (Sigma has
-        # correlation 0.991); half its Newton decrement, the gain the step
-        # promises, is below the 1e-12 resolution, so its mode is accepted
+        # Sigma has correlation 0.991 at the optimum, where a rater's inner
+        # Newton can end its 100 steps with the line search rejecting every
+        # step on f's rounding noise; half its Newton decrement, the gain the
+        # step promises, is below the 1e-12 resolution, so its mode is accepted
         data, _ = _simulate(60, 4, fig1, seed=3)
         spec = ModelSpec(fig1, trait_design="per-node", item_design="common",
                          covariance="unstructured")
@@ -920,6 +966,7 @@ class TestFit:
         res = fit(self._seed_2024_data(fig1), ModelSpec(fig1), FitOptions(max_iter=1))
         assert res.converged is False
         assert "did not converge after 1 iterations" in res.warnings
+        assert res.diagnostics["message"] == "stopped at the iteration limit of 1"
         assert res.se_alpha is None
         assert res.diagnostics["stop"] is None and res.diagnostics["se_s"] is None
 
@@ -993,7 +1040,7 @@ class TestStandardErrors:
     def test_unusable_information_gives_nan(self, curvature, fitted, monkeypatch):
         # an information of curvature * I: zero is not invertible and -1
         # gives negative variances
-        def information(x, pseudo, spec, eta0):
+        def information(x, lap, pseudo, spec):
             return curvature * np.eye(x.size), None
 
         res, data, _, _ = fitted
@@ -1060,7 +1107,7 @@ class TestObservedInformation:
         assert res.converged
         x = self._point(res, where)
         eta0 = res.eta_hat[:, : res.model.re_dim]
-        exact, _ = _observed_information(x, pseudo, res.model, eta0)
+        exact, _ = information_at(x, pseudo, res.model, eta0)
         oracle = gradient_difference_hessian(x, pseudo, res.model, eta0)
         assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
         if where == "perturbed":
@@ -1076,7 +1123,7 @@ class TestObservedInformation:
         x = self._point(res, "perturbed")
         spec, n_alpha = res.model, res.alpha_hat.size
         eta0 = res.eta_hat[:, : spec.re_dim]
-        _, d_eta = _observed_information(x, pseudo, spec, eta0)
+        _, d_eta = information_at(x, pseudo, spec, eta0)
 
         def modes(v):
             alpha = v[:n_alpha].reshape(res.alpha_hat.shape)
