@@ -14,7 +14,9 @@ gradient's derivative in forward mode along every parameter from the same
 state (`_observed_information`), is the Hessian of the standard errors and
 of the fit's projected Newton loop (Bertsekas 1982), which steps standard
 deviations so that it reaches their bound e^-8, which stands for sigma = 0,
-as lme4 treats theta >= 0 (Bates et al. 2015).
+as lme4 treats theta >= 0 (Bates et al. 2015). A fresh fit takes its
+standard errors from its last accepted evaluation; `standard_errors` makes
+one evaluation at the optimum of a loaded fit.
 
 The trait covariance of every design is Sigma = S R S: S = diag(exp s)
 holds the log standard deviations and R = L L' a correlation matrix whose
@@ -36,6 +38,7 @@ from __future__ import annotations
 import collections
 import functools
 import json
+import numbers
 import operator
 import reprlib
 import time
@@ -332,6 +335,8 @@ class FitOptions:
     compute_se: bool = True
 
     def __post_init__(self):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol: expected a real number, got {self.tol!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         self.max_iter = _int_field("max_iter", self.max_iter)
@@ -458,27 +463,13 @@ def _separation_warnings(pseudo: PseudoData, tree: ResponseTree) -> list:
     return out
 
 
-def _make_objective(pseudo: PseudoData, spec: ModelSpec):
-    """The Laplace objective of a fit: packed x -> (-L, -dL/dx).
-
-    The closure starts each inner Newton from `objective.modes` (zero when
-    None) and keeps its last evaluation's `_Laplace` record in
-    `objective.lap`; `objective.evaluations` counts its calls, failed ones
-    included. Make one per fit: the closure is not shared.
-    """
+def _evaluate(x, pseudo: PseudoData, spec: ModelSpec, eta0=None):
+    """The Laplace objective of a fit at packed x: (-L, -dL/dx, the `_Laplace`
+    record), with the inner Newton started from `eta0` (zero when None)."""
     n_alpha = pseudo.J * spec.item_cols
-
-    def objective(x):
-        objective.evaluations += 1
-        sigma, chain, _ = _cov_map(x[n_alpha:], spec)
-        lap = _laplace(x[:n_alpha].reshape(pseudo.J, spec.item_cols), sigma, pseudo,
-                       objective.modes)
-        objective.lap = lap
-        return -lap.value, -_pack(lap.d_alpha, chain(lap.g_sigma))
-
-    objective.modes = objective.lap = None
-    objective.evaluations = 0
-    return objective
+    sigma, chain, _ = _cov_map(x[n_alpha:], spec)
+    lap = _laplace(x[:n_alpha].reshape(pseudo.J, spec.item_cols), sigma, pseudo, eta0)
+    return -lap.value, -_pack(lap.d_alpha, chain(lap.g_sigma)), lap
 
 
 def _newton_step(h, g):
@@ -508,7 +499,8 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     the least shift that makes H positive definite. The trial point y + t dy
     is clipped to the box, with t halved until Armijo's rule holds. A trial
     where the inner Newton fails is rejected; one at the start is raised.
-    The answer is the last accepted evaluation, valued once.
+    The answer is the last accepted evaluation, valued once, and the SEs
+    are read off it by one `_observed_information` pass.
 
     Separation, non-convergence and NaN-SE notes go to `FitResult.warnings`;
     nothing is issued as a `UserWarning`.
@@ -522,13 +514,11 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     n_alpha = data.J * spec.item_cols
     lo, hi = np.array([(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)).T
     is_sd = np.isin(np.arange(lo.size), n_alpha + spec.cov_layout[0])
-    objective = _make_objective(pseudo, spec)
     t0 = time.perf_counter()
     x = _start_values(pseudo, spec)
-    nll, g = objective(x)
-    lap, iterations, message = objective.lap, 0, "projected gradient below tol"
+    nll, g, lap = _evaluate(x, pseudo, spec)
+    evaluations, iterations, message = 1, 0, "projected gradient below tol"
     while True:
-        objective.modes = lap.eta
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
         pg_max = float(np.abs(np.where(is_sd, np.exp(-x), 1.0) * g)[free].max(initial=0.0))
         if pg_max < options.tol:
@@ -547,12 +537,13 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
         for k in range(OUTER_HALVINGS if np.isfinite(step).all() else 0):
             y_t = y + 0.5 ** k * step
             x_t = np.where(as_sigma, np.log(np.maximum(y_t, np.exp(lo))), y_t).clip(lo, hi)
+            evaluations += 1
             try:
-                nll_t, g_t = objective(x_t)
+                nll_t, g_t, lap_t = _evaluate(x_t, pseudo, spec, lap.eta)
             except EstimationError:
                 continue
             if nll_t <= nll + ARMIJO_C * (d * g) @ (np.where(as_sigma, np.exp(x_t), x_t) - y):
-                x, nll, g, lap, iterations = x_t, nll_t, g_t, objective.lap, iterations + 1
+                x, nll, g, lap, iterations = x_t, nll_t, g_t, lap_t, iterations + 1
                 break
         else:
             message = "no trial point along the Newton step decreases -L"
@@ -576,7 +567,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
         warnings=notes,
         x=x,
         diagnostics={
-            "objective_evaluations": objective.evaluations,
+            "objective_evaluations": evaluations,
             "projected_gradient_max": pg_max,
             "message": message,
             "stop": stop,
@@ -587,7 +578,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     )
     if options.compute_se and converged:
         t0 = time.perf_counter()
-        result.se_alpha = standard_errors(result, data)
+        result.se_alpha = _information_se(x, lap, pseudo, spec)
         result.diagnostics["se_s"] = time.perf_counter() - t0
         if np.isnan(result.se_alpha).any():
             result.warnings.append("observed information is not invertible; SEs set to NaN")
@@ -663,15 +654,30 @@ def _observed_information(x, lap: _Laplace, pseudo: PseudoData, spec: ModelSpec)
     return 0.5 * (hess + hess.T), d_eta
 
 
+def _information_se(x, lap: _Laplace, pseudo: PseudoData, spec: ModelSpec) -> np.ndarray:
+    """Easiness SEs, shaped like alpha, from the exact information at packed x
+    on its record `lap`; all NaN where it is singular or gives a negative variance."""
+    n_alpha = pseudo.J * spec.item_cols
+    hess = _observed_information(x, lap, pseudo, spec)[0]
+    try:
+        diag = np.diag(np.linalg.inv(hess))[:n_alpha]
+        if np.any(diag < 0):
+            raise np.linalg.LinAlgError("negative variance estimate")
+        se = np.sqrt(diag)
+    except np.linalg.LinAlgError:
+        se = np.full(n_alpha, np.nan)
+    return se.reshape(pseudo.J, spec.item_cols)
+
+
 def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     """Square roots of the inverse observed information, for the easiness part.
 
     The information is the exact Hessian of the Laplace objective at the
     optimum (`_observed_information`): one Laplace evaluation at `fitres.x`
-    from the fit's modes, then one forward-mode pass of the analytic
-    gradient along every parameter. Where it is not invertible or gives a
-    negative variance, every SE is NaN, and `fit` says so in
-    `FitResult.warnings`.
+    from the fit's modes (a fresh fit reuses its last one), then one
+    forward-mode pass of the analytic gradient along every parameter. Where
+    it is not invertible or gives a negative variance, every SE is NaN, and
+    `fit` says so in `FitResult.warnings`.
     """
     spec = fitres.model
     if fitres.x is None:
@@ -680,19 +686,8 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     if data.values.shape != shape:
         raise ValueError(f"ratings must be {shape} as in the fit, got {data.values.shape}")
     pseudo = PseudoData.from_ratings(data, spec.tree)
-    x, n_alpha = fitres.x, fitres.alpha_hat.size
-    lap = _laplace(x[:n_alpha].reshape(fitres.alpha_hat.shape), _cov_map(x[n_alpha:], spec)[0],
-                   pseudo, fitres.eta_hat[:, : spec.re_dim])
-    hess, _ = _observed_information(x, lap, pseudo, spec)
-    try:
-        cov = np.linalg.inv(hess)
-        diag = np.diag(cov)[:n_alpha]
-        if np.any(diag < 0):
-            raise np.linalg.LinAlgError("negative variance estimate")
-        se = np.sqrt(diag)
-    except np.linalg.LinAlgError:
-        se = np.full(n_alpha, np.nan)
-    return se.reshape(fitres.alpha_hat.shape)
+    lap = _evaluate(fitres.x, pseudo, spec, fitres.eta_hat[:, : spec.re_dim])[2]
+    return _information_se(fitres.x, lap, pseudo, spec)
 
 
 def fit_to_json(fitres: FitResult) -> str:

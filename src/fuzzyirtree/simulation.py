@@ -265,6 +265,7 @@ def run_study(design: SimDesign, threads: int = 1) -> SimResult:
     `threads` is the worker count. Above 1, the replications of every cell
     run in forked worker processes, at most one per replication and per CPU.
     """
+    threads = _int_field("threads", threads)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     cells = design.cells()

@@ -21,7 +21,7 @@ from fuzzyirtree.estimation import (
     RatingMatrix,
     _cov_bounds,
     _cov_map,
-    _make_objective,
+    _evaluate,
     _observed_information,
     _start_values,
     fit,
@@ -208,13 +208,11 @@ def gradient_difference_hessian(x, pseudo, spec, eta0):
     singular those resolve the Hessian only to about 1e-6 of its largest
     entry, for rounding in the gradient, and the wider fourth-order stencil
     does not have that floor."""
-    objective = _make_objective(pseudo, spec)
     n = x.size
     h = GRADIENT_DIFF_STEP * np.maximum(1.0, np.abs(x))
 
     def grad(v):
-        objective.modes = eta0
-        return objective(v)[1]
+        return _evaluate(v, pseudo, spec, eta0)[1]
 
     hess = np.empty((n, n))
     for i in range(n):
@@ -229,10 +227,7 @@ def gradient_difference_hessian(x, pseudo, spec, eta0):
 def information_at(x, pseudo, spec, eta0):
     """`_observed_information` at x, on the Laplace evaluation whose inner
     Newton starts from `eta0`."""
-    objective = _make_objective(pseudo, spec)
-    objective.modes = eta0
-    objective(x)
-    return _observed_information(x, objective.lap, pseudo, spec)
+    return _observed_information(x, _evaluate(x, pseudo, spec, eta0)[2], pseudo, spec)
 
 
 def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, exhausted=None):
@@ -532,7 +527,7 @@ class TestLaplaceGradient:
         spec = ModelSpec(tree, *design)
         x0 = _start_values(pseudo, spec)
         x = x0 + rng.normal(scale=0.3, size=x0.size)
-        value, grad = _make_objective(pseudo, spec)(x)
+        value, grad, _ = _evaluate(x, pseudo, spec)
         assert value == pytest.approx(neg_laplace_value(x, pseudo, spec, J), rel=1e-12)
         fd = np.empty(x.size)
         for k in range(x.size):
@@ -783,10 +778,10 @@ class TestFit:
         assert any("separation" in w for w in res.warnings)
 
     def test_nan_standard_errors_are_noted_not_warned(self, fig1, monkeypatch):
-        def nan_se(fitres, data):
-            return np.full(fitres.alpha_hat.shape, np.nan)
+        def nan_se(x, lap, pseudo, spec):
+            return np.full((pseudo.J, spec.item_cols), np.nan)
 
-        monkeypatch.setattr(estimation, "standard_errors", nan_se)
+        monkeypatch.setattr(estimation, "_information_se", nan_se)
         data, _ = _simulate(25, 3, fig1, seed=41)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -824,13 +819,24 @@ class TestFit:
         monkeypatch.setattr(estimation, "_laplace", wrapper)
         return calls
 
-    def test_answer_is_the_last_accepted_evaluation(self, fig1, monkeypatch):
+    @pytest.mark.parametrize("compute_se", [False, True], ids=["no-se", "se"])
+    def test_answer_is_the_last_accepted_evaluation(self, compute_se, fig1, monkeypatch):
         # a converged fit stops on the evaluation it accepted last and reads
-        # its log-likelihood and modes off it, valuing no point again
+        # its log-likelihood, modes and SEs off it, valuing no point again
+        # and expanding the ratings once
         calls = self._recorded_laplace(monkeypatch)
-        res = fit(self._seed_2024_data(fig1), ModelSpec(fig1), FitOptions(compute_se=False))
+        from_ratings, expansions = PseudoData.from_ratings.__func__, []
+
+        def counted(cls, data, tree):
+            expansions.append(data)
+            return from_ratings(cls, data, tree)
+
+        monkeypatch.setattr(PseudoData, "from_ratings", classmethod(counted))
+        res = fit(self._seed_2024_data(fig1), ModelSpec(fig1), FitOptions(compute_se=compute_se))
         assert res.diagnostics["stop"] == "gradient"
+        assert (res.se_alpha is not None) == compute_se
         assert res.diagnostics["objective_evaluations"] == len(calls)
+        assert len(expansions) == 1
         assert len(calls) >= res.iterations + 1
         alpha, sigma, lap = calls[-1]
         np.testing.assert_array_equal(alpha, res.alpha_hat)
@@ -926,6 +932,13 @@ class TestFit:
     def test_iteration_limit_must_be_positive(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             FitOptions(max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [None, "1e-3", True, [1e-3]],
+                             ids=["none", "str", "bool", "list"])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        want = f"tol: expected a real number, got {tol!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            FitOptions(tol=tol)
 
     def test_iteration_limit_must_be_an_integer(self):
         with pytest.raises(ValueError, match="max_iter: expected an integer, got 2.5"):
@@ -1036,6 +1049,15 @@ class TestStandardErrors:
             standard_errors(res, data), value_hessian_se(res, data), rtol=1e-4
         )
 
+    @pytest.mark.parametrize("design", DESIGNS, ids="/".join)
+    def test_fresh_and_loaded_paths_agree(self, design, fig1):
+        # the fit reads its SEs off its last accepted evaluation; the public
+        # call evaluates the optimum again from the fit's modes, to the bit
+        data, _ = _simulate(40, 4, fig1, seed=11)
+        res = fit(data, ModelSpec(fig1, *design))
+        assert res.se_alpha is not None
+        np.testing.assert_array_equal(standard_errors(res, data), res.se_alpha)
+
     @pytest.mark.parametrize("curvature", [0.0, -1.0], ids=["singular", "negative"])
     def test_unusable_information_gives_nan(self, curvature, fitted, monkeypatch):
         # an information of curvature * I: zero is not invertible and -1
@@ -1111,7 +1133,7 @@ class TestObservedInformation:
         oracle = gradient_difference_hessian(x, pseudo, res.model, eta0)
         assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
         if where == "perturbed":
-            _, grad = _make_objective(pseudo, res.model)(x)
+            grad = _evaluate(x, pseudo, res.model)[1]
             assert np.abs(grad).max() > 1.0
 
     @pytest.mark.parametrize("design", ALL_DESIGNS, ids="/".join)

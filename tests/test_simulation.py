@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import types
 import warnings
 
@@ -282,6 +283,16 @@ class TestRunCellAndStudy:
     @pytest.mark.parametrize("threads", [0, -3])
     def test_worker_count_must_be_positive(self, tiny_design, threads):
         with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_study(tiny_design, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1.5, "2", None])
+    def test_worker_count_must_be_an_integer(self, tiny_design, threads, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        want = f"threads: expected an integer, got {threads!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
             run_study(tiny_design, threads=threads)
 
     def test_pool_size_is_capped_by_replications(self, fig1, monkeypatch):
