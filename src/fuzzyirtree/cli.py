@@ -19,9 +19,9 @@ from .estimation import (
     FitOptions,
     ModelSpec,
     RatingMatrix,
+    _int_field,
     _json_field,
     _json_float,
-    _json_int,
     fit,
     fit_from_json,
     fit_to_json,
@@ -226,12 +226,12 @@ def _design_from_json(doc: dict) -> simulation.SimDesign:
         return _design_value(doc, key, lambda v: tuple(map(convert, v)), what, list)
 
     return simulation.SimDesign(
-        I_levels=levels("I", _json_int, "a list of integers"),
-        J_levels=levels("J", _json_int, "a list of integers"),
+        I_levels=levels("I", functools.partial(_int_field, "I"), "a list of integers"),
+        J_levels=levels("J", functools.partial(_int_field, "J"), "a list of integers"),
         pi_levels=levels("pi", _json_float, "a list of numbers"),
-        B=_design_value(doc, "B", _json_int, "an integer"),
+        B=_design_value(doc, "B", functools.partial(_int_field, "B"), "an integer"),
         tree=t,
-        seed=_design_value(doc, "seed", _json_int, "an integer"),
+        seed=_design_value(doc, "seed", functools.partial(_int_field, "seed"), "an integer"),
         **optional,
     )
 

@@ -12,11 +12,10 @@ term at the modes plus the derivative of -1/2 log det(-Hessian), with the
 modes moving as dη̂ = H⁻¹ ∂g. The exact observed information, that
 gradient's derivative in forward mode along every parameter from the same
 state (`_observed_information`), is the Hessian of the standard errors and
-of the fit's projected Newton loop (Bertsekas 1982), which steps standard
-deviations so that it reaches their bound e^-8, which stands for sigma = 0,
-as lme4 treats theta >= 0 (Bates et al. 2015). A fresh fit takes its
-standard errors from its last accepted evaluation; `standard_errors` makes
-one evaluation at the optimum of a loaded fit.
+of the fit's projected trust-region Newton loop (Conn, Gould & Toint 2000),
+which steps standard deviations to reach their bound e^-8 (sigma = 0, as
+lme4 treats theta >= 0; Bates et al. 2015). A fresh fit takes its SEs from
+its last accepted evaluation; `standard_errors` evaluates a loaded fit once.
 
 The trait covariance of every design is Sigma = S R S: S = diag(exp s)
 holds the log standard deviations and R = L L' a correlation matrix whose
@@ -36,6 +35,7 @@ each record in either matrix.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import json
 import numbers
@@ -55,9 +55,7 @@ INNER_TOL = 1e-8
 INNER_DECREMENT_TOL = 1e-12
 INNER_MAX_ITER = 100
 ALPHA_BOUND = 15.0
-ARMIJO_C = 1e-4       # sufficient decrease of an outer Newton step
-OUTER_HALVINGS = 30   # trial points of one outer step before it gives up
-DAMPING_FLOOR = 1e-8  # first Levenberg shift, relative to the largest |Hessian entry|
+FIRST_RADIUS = 1.0  # trust radius of the first outer step, in sigma and easiness units
 
 TRAIT_DESIGNS = ("common", "per-node")
 ITEM_DESIGNS = ("common", "per-node")
@@ -472,35 +470,40 @@ def _evaluate(x, pseudo: PseudoData, spec: ModelSpec, eta0=None):
     return -lap.value, -_pack(lap.d_alpha, chain(lap.g_sigma)), lap
 
 
-def _newton_step(h, g):
-    """(-(h + mu I)^-1 g, mu) at the first Levenberg shift mu, 0 or
-    DAMPING_FLOOR * max|h| * 10^k, at which h + mu I has a Cholesky factor;
-    (NaN, inf) if none up to 1e21 * max|h| has (h is not finite)."""
-    for mu in (0.0, *DAMPING_FLOOR * max(1.0, np.abs(h).max()) * 10.0 ** np.arange(30)):
-        shifted = h + mu * np.eye(g.size)
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        return -np.linalg.solve(shifted, g), mu
-    return np.full_like(g, np.nan), np.inf
+def _trust_step(h, g, radius):
+    """The p of least g'p + p'hp/2 with |p| <= radius (Moré & Sorensen 1983):
+    -h^-1 g where h has a Cholesky factor and that fits, else -(h + mu I)^-1 g
+    at the mu >= max(0, -lambda_min) where |p| = radius, or -lambda_min if none."""
+    with contextlib.suppress(np.linalg.LinAlgError):
+        np.linalg.cholesky(h)
+        step = -np.linalg.solve(h, g)
+        if np.linalg.norm(step) <= radius:
+            return step
+    lam, vec = np.linalg.eigh(h)
+    c = vec.T @ g
+    mu = max(0.0, abs(c[0]) / radius - lam[0])  # |p(mu)| >= radius here
+    while True:  # Newton's method on 1/|p(mu)|, concave in mu, rises to the root
+        inv = np.divide(1.0, lam + mu, out=np.zeros_like(lam), where=lam + mu > 0)
+        q = c * inv
+        norm = np.linalg.norm(q)
+        next_mu = mu + (norm / radius - 1.0) * norm**2 / ((q * q) @ inv)
+        if not next_mu > mu:  # converged, or the hard case
+            return -vec @ q
+        mu = next_mu
 
 
 def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) -> FitResult:
     """Maximize the Laplace marginal likelihood over fixed effects and covariance.
 
-    A projected Newton loop on the exact Hessian H of -L. Its gradient g is
-    read per unit sigma on each log sd s = log sigma (D g, with D = 1/sigma
-    there and 1 elsewhere), and the fit has converged when that is below
-    `tol` on the free coordinates, those not at a bound with g pointing out.
-    A step moves sigma, solving D (H - diag(g_s)) D dy = -D g on the free
-    coordinates, unless that system needs a Levenberg shift or passes
-    sigma = 0 by more than sigma; then it moves s, solving H ds = -g under
-    the least shift that makes H positive definite. The trial point y + t dy
-    is clipped to the box, with t halved until Armijo's rule holds. A trial
-    where the inner Newton fails is rejected; one at the start is raised.
-    The answer is the last accepted evaluation, valued once, and the SEs
-    are read off it by one `_observed_information` pass.
+    A projected trust-region Newton loop on the exact Hessian H of -L that
+    steps each sd as sigma = e^s: gradient D g (D = 1/sigma on the sds, 1
+    elsewhere), Hessian D (H - diag(g_s)) D. It has converged when D g is
+    below `tol` off the bounds that g points out of. A trial, the free
+    block's `_trust_step` clipped to the box, is taken when the ratio rho of
+    the fall in -L to the model's (each plus 1e-14 |L|; -inf where the inner
+    Newton fails) is above 1e-4. rho < 1/4 cuts the radius to a quarter of
+    the step, rho > 3/4 at the radius doubles it, and a trial that rounds to
+    the current point ends the loop.
 
     Separation, non-convergence and NaN-SE notes go to `FitResult.warnings`;
     nothing is issued as a `UserWarning`.
@@ -514,40 +517,48 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     n_alpha = data.J * spec.item_cols
     lo, hi = np.array([(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)).T
     is_sd = np.isin(np.arange(lo.size), n_alpha + spec.cov_layout[0])
+    y_lo, y_hi = (np.exp(b, out=b.copy(), where=is_sd) for b in (lo, hi))
     t0 = time.perf_counter()
     x = _start_values(pseudo, spec)
     nll, g, lap = _evaluate(x, pseudo, spec)
     evaluations, iterations, message = 1, 0, "projected gradient below tol"
+    radius, accepted = FIRST_RADIUS, True
     while True:
-        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        pg_max = float(np.abs(np.where(is_sd, np.exp(-x), 1.0) * g)[free].max(initial=0.0))
-        if pg_max < options.tol:
-            break
-        if iterations == options.max_iter:
-            message = f"stopped at the iteration limit of {options.max_iter}"
-            break
-        hess, step = _observed_information(x, lap, pseudo, spec)[0], np.zeros_like(x)
-        for as_sigma in (is_sd, np.zeros_like(is_sd)):  # sigma steps, else log-sd steps
-            d = np.where(as_sigma, np.exp(-x), 1.0)
-            h_y = d[:, None] * (hess - np.diag(np.where(as_sigma, g, 0.0))) * d
-            step[free], mu = _newton_step(h_y[np.ix_(free, free)], (d * g)[free])
-            if mu == 0.0 and (step * d >= -2.0)[as_sigma].all():
+        if accepted:
+            free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+            d = np.where(is_sd, np.exp(-x), 1.0)
+            pg_max = float(np.abs(d * g)[free].max(initial=0.0))
+            if pg_max < options.tol:
                 break
-        y = np.where(as_sigma, np.exp(x), x)
-        for k in range(OUTER_HALVINGS if np.isfinite(step).all() else 0):
-            y_t = y + 0.5 ** k * step
-            x_t = np.where(as_sigma, np.log(np.maximum(y_t, np.exp(lo))), y_t).clip(lo, hi)
-            evaluations += 1
-            try:
-                nll_t, g_t, lap_t = _evaluate(x_t, pseudo, spec, lap.eta)
-            except EstimationError:
-                continue
-            if nll_t <= nll + ARMIJO_C * (d * g) @ (np.where(as_sigma, np.exp(x_t), x_t) - y):
-                x, nll, g, lap, iterations = x_t, nll_t, g_t, lap_t, iterations + 1
+            if iterations == options.max_iter:
+                message = f"stopped at the iteration limit of {options.max_iter}"
                 break
-        else:
-            message = "no trial point along the Newton step decreases -L"
+            hess = _observed_information(x, lap, pseudo, spec)[0]
+            h_y = (d[:, None] * (hess - np.diag(np.where(is_sd, g, 0.0))) * d)[np.ix_(free, free)]
+            g_y, y = (d * g)[free], np.exp(x, out=x.copy(), where=is_sd)
+        step = np.zeros_like(x)
+        step[free] = _trust_step(h_y, g_y, radius)
+        y_t = (y + step).clip(y_lo, y_hi)
+        s = (y_t - y)[free]
+        if not (np.abs(s) > 0).any():
+            message = "the trust-region step rounds to the current point"
             break
+        x_t = np.log(y_t, out=y_t.copy(), where=is_sd).clip(lo, hi)
+        evaluations += 1
+        try:
+            nll_t, g_t, lap_t = _evaluate(x_t, pseudo, spec, lap.eta)
+        except EstimationError:
+            nll_t = np.inf
+        slack = 1e-14 * abs(nll)  # rounding noise of -L, so steps at the optimum pass
+        predicted = slack - g_y @ s - 0.5 * s @ h_y @ s
+        rho = (nll - nll_t + slack) / predicted if predicted > 0 else -np.inf
+        if rho < 0.25:
+            radius = 0.25 * np.linalg.norm(s)
+        elif rho > 0.75 and np.isclose(np.linalg.norm(s), radius):
+            radius *= 2.0
+        accepted = rho > 1e-4
+        if accepted:
+            x, nll, g, lap, iterations = x_t, nll_t, g_t, lap_t, iterations + 1
     optimize_s = time.perf_counter() - t0
     stop = "gradient" if pg_max < options.tol else None
     converged = stop is not None
@@ -736,18 +747,11 @@ def _json_field(doc: dict, key: str, convert, what: str, kind=object,
 
 def _int_field(name, value) -> int:
     """An option's integer value by operator.index: numpy integers pass, and a
-    float or a string is a ValueError that names the option."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name}: expected an integer, got {value!r}") from None
-
-
-def _json_int(value) -> int:
-    """A JSON integer as an int: operator.index, except that true and false are not."""
-    if isinstance(value, bool):
-        raise TypeError
-    return operator.index(value)
+    bool, a float or a string is a ValueError that names the option."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 def _json_float(value) -> float:
@@ -776,12 +780,13 @@ def fit_from_json(text: str, tree: ResponseTree) -> FitResult:
     numbers = functools.partial(np.array, dtype=float)  # null reads as NaN
     f = {key: _json_field(doc, key, *how) for key, *how in (
         ("alpha", numbers, "a list of numbers", list),
-        ("alpha_shape", lambda v: tuple(map(_json_int, v)), "a list of integers", list),
+        ("alpha_shape", lambda v: tuple(_int_field("alpha_shape", n) for n in v),
+         "a list of integers", list),
         ("eta", numbers, "a list of lists of numbers", list),
         ("sigma_cholesky", numbers, "a list of numbers", list),
         ("loglik", _json_float, "a number"),
         ("converged", bool, "true or false", bool),
-        ("iterations", _json_int, "an integer"),
+        ("iterations", functools.partial(_int_field, "iterations"), "an integer"),
         ("model", dict, "an object", dict),
         ("tree_digest", str, "a string", str),
         ("se", lambda v: None if v is None else numbers(v), "null or a list of numbers"),

@@ -24,6 +24,7 @@ from fuzzyirtree.estimation import (
     _evaluate,
     _observed_information,
     _start_values,
+    _trust_step,
     fit,
     fit_from_json,
     fit_to_json,
@@ -694,6 +695,38 @@ class TestCovarianceMap:
 # ---------------------------------------------------------------------------
 
 
+class TestTrustStep:
+    def test_newton_step_inside_the_radius(self):
+        h = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        g = np.array([0.3, -0.2, 0.1])
+        np.testing.assert_array_equal(_trust_step(h, g, 1.0), -np.linalg.solve(h, g))
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.1, 0.5])
+    def test_long_newton_step_stops_at_the_radius(self, radius):
+        h = np.array([[2.0, 0.5], [0.5, 0.1]])  # positive definite, nearly singular
+        g = np.array([1.0, -1.0])
+        assert np.linalg.norm(np.linalg.solve(h, g)) > radius
+        p = _trust_step(h, g, radius)
+        assert np.linalg.norm(p) == pytest.approx(radius, rel=1e-3)
+        assert g @ p + 0.5 * p @ h @ p < 0
+
+    @pytest.mark.parametrize("h, g", [
+        ([[1.0, 2.0], [2.0, 1.0]], [0.5, 0.1]),
+        ([[-1.0, 0.0], [0.0, 2.0]], [0.2, 1.0]),
+        ([[-1.0, 0.0], [0.0, 2.0]], [0.0, 1.0]),  # the hard case: g has no part along -1's vector
+        ([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 3.0]], [0.0, 0.0, -2.0]),
+    ], ids=["indefinite", "negative-curvature", "hard-case", "hard-case-double"])
+    @pytest.mark.parametrize("radius", [0.05, 1.0, 10.0])
+    def test_indefinite_model_decreases_within_the_radius(self, h, g, radius):
+        h, g = np.array(h), np.array(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = _trust_step(h, g, radius)
+        assert np.isfinite(p).all()
+        assert np.linalg.norm(p) <= radius * (1 + 1e-12)
+        assert g @ p + 0.5 * p @ h @ p < 0
+
+
 def _simulate(I, J, tree, alpha0=-1.75, sigma_alpha=0.25, seed=7):
     rng = np.random.default_rng(seed)
     eta = rng.standard_normal(I)
@@ -845,34 +878,51 @@ class TestFit:
         np.testing.assert_array_equal(res.eta_hat, np.repeat(lap.eta, fig1.N, axis=1))
         assert not any(np.array_equal(a, alpha) for a, _, _ in calls[:-1])
 
+    @staticmethod
+    def _sigma_units(alpha, sigma):
+        """A common-design point as the loop's coordinates: the easiness and sigma."""
+        return np.append(alpha, np.sqrt(sigma[0, 0]))
+
     def test_a_trial_where_the_inner_newton_fails_is_rejected(self, fig1, monkeypatch):
-        # the first trial point raises; the fit halves the step and goes on to
-        # the same optimum
+        # the first trial point raises; the fit cuts its trust radius to a
+        # quarter of that step and goes on to the same optimum
         data, spec = self._seed_2024_data(fig1), ModelSpec(fig1)
         want = fit(data, spec, FitOptions(compute_se=False))
         calls = self._recorded_laplace(monkeypatch, fail_at={1})
         res = fit(data, spec, FitOptions(compute_se=False))
         assert calls[1][2] is None and calls[2][2] is not None
-        start, failed, halved = (c[0] for c in calls[:3])
-        np.testing.assert_allclose(halved - start, 0.5 * (failed - start), rtol=1e-12)
+        start, failed, retried = (self._sigma_units(a, s) for a, s, _ in calls[:3])
+        shrunk = 0.25 * np.linalg.norm(failed - start)
+        assert np.linalg.norm(retried - start) <= shrunk * (1 + 1e-12)
         assert res.diagnostics["stop"] == "gradient"
         assert res.diagnostics["objective_evaluations"] == len(calls)
         assert res.log_marginal_lik == pytest.approx(want.log_marginal_lik, rel=0, abs=1e-8)
         np.testing.assert_allclose(res.alpha_hat, want.alpha_hat, rtol=0, atol=1e-5)
 
     def test_no_acceptable_trial_point_ends_the_fit(self, fig1, monkeypatch):
-        # every trial point raises: the fit keeps its start values and says why
+        # every trial point raises: each is at most a quarter as long as the
+        # one before, until the step rounds to the start values, where the
+        # fit stays and says why
         calls = self._recorded_laplace(monkeypatch, fail_at=range(1, 1000))
         res = fit(self._seed_2024_data(fig1), ModelSpec(fig1))
         assert not res.converged and res.iterations == 0 and res.se_alpha is None
-        assert len(calls) == res.diagnostics["objective_evaluations"] == 1 + estimation.OUTER_HALVINGS
-        assert res.diagnostics["message"] == "no trial point along the Newton step decreases -L"
+        assert len(calls) == res.diagnostics["objective_evaluations"]
+        assert res.diagnostics["message"] == "the trust-region step rounds to the current point"
         assert "did not converge after 0 iterations" in res.warnings
         assert res.log_marginal_lik == calls[0][2].value
+        np.testing.assert_array_equal(res.alpha_hat, calls[0][0])
+        start = self._sigma_units(*calls[0][:2])
+        lengths = [np.linalg.norm(self._sigma_units(a, s) - start) for a, s, _ in calls[1:]]
+        assert len(lengths) >= 2 and lengths[0] > 0
+        # sigma comes back through exp(2 s) and a square root, an ulp or so off
+        slack = 4 * np.finfo(float).eps
+        assert all(b <= 0.25 * a + slack for a, b in zip(lengths, lengths[1:]))
 
+    @pytest.mark.parametrize("log_sd", [None, -8.0], ids=["start", "at-bound"])
     @pytest.mark.parametrize("cell, J, loglik, sd", [(3, 10, -783.7597, 0.1417),
                                                      (7, 20, -1577.5988, 0.0718)])
-    def test_sd_leaves_its_bound_where_the_likelihood_rises(self, cell, J, loglik, sd, fig1):
+    def test_sd_leaves_its_bound_where_the_likelihood_rises(self, cell, J, loglik, sd, log_sd,
+                                                           fig1, monkeypatch):
         # replication 1 of the README factorial's cell (I 50, J, pi 0.75) at
         # seed 1. On log sds the fit stopped at sigma = e^-8, where dL/ds is
         # below tol whatever its sign, 0.13 (J 10) and 0.04 (J 20) below the
@@ -880,13 +930,20 @@ class TestFit:
         rng = _replication_rng(1, cell, 1)
         data = perturb(generate_true_data(50, J, fig1, -1.75, 0.25, rng).ratings,
                        FakingModel(0.75), rng)
+        if log_sd is not None:
+            def at_bound(pseudo, spec):
+                x = _start_values(pseudo, spec)
+                x[-1] = log_sd
+                return x
+
+            monkeypatch.setattr(estimation, "_start_values", at_bound)
         res = fit(data, ModelSpec(fig1), FitOptions(compute_se=False))
         assert res.diagnostics["stop"] == "gradient"
         assert res.log_marginal_lik == pytest.approx(loglik, rel=0, abs=1e-4)
         assert np.sqrt(res.sigma_hat[0, 0]) == pytest.approx(sd, rel=1e-3)
-        # a sigma step from sigma = 1 would overshoot to the bound, and the fit
-        # would leave it by about a tenth of sigma per step; the log-sd step
-        # goes to the maximum directly
+        # the trust radius keeps the first sigma step from sigma = 1 off the
+        # bound, and from the bound the sigma model's step grows with the
+        # radius instead of by about a tenth of sigma per step
         assert res.iterations <= 8
 
     @staticmethod
@@ -904,13 +961,14 @@ class TestFit:
 
     @pytest.mark.parametrize("seed", range(7, 13))
     def test_unstructured_fits_converge(self, seed):
-        # seed 12's path takes an sd to its bound e^-8 and seeds 7 and 11 take
-        # 22-25 steps; every fit must end on the gradient rule
+        # seeds 7 and 11 take 20 and 23 steps; every fit must end on the
+        # gradient rule, with few evaluations spent on rejected trials
         data = self._pernode_ratings(150, 10, np.random.default_rng(seed))
         spec = ModelSpec(preset_tree("fig2-6cat"), *CASE_STUDY_SPEC)
         res = fit(data, spec, FitOptions(compute_se=False))
         assert res.diagnostics["stop"] == "gradient"
         assert res.diagnostics["projected_gradient_max"] < FitOptions().tol
+        assert res.diagnostics["objective_evaluations"] <= 32
 
     def test_diagnostics_not_in_artifact(self, fitted):
         res, _, _, _ = fitted
@@ -943,6 +1001,8 @@ class TestFit:
     def test_iteration_limit_must_be_an_integer(self):
         with pytest.raises(ValueError, match="max_iter: expected an integer, got 2.5"):
             FitOptions(max_iter=2.5)
+        with pytest.raises(ValueError, match="max_iter: expected an integer, got True"):
+            FitOptions(max_iter=True)
         assert FitOptions(max_iter=np.int64(3)).max_iter == 3
 
     def test_per_node_design_runs(self, fig1):

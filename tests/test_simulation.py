@@ -234,10 +234,12 @@ class TestSimDesign:
 
     @pytest.mark.parametrize("field,value", [
         ("I_levels", (20.5,)), ("J_levels", (4, 5.0)), ("B", 2.0), ("seed", 1.5),
-    ], ids=["I", "J", "B", "seed"])
+        ("I_levels", (True,)), ("B", True), ("seed", False),
+    ], ids=["I", "J", "B", "seed", "I-bool", "B-bool", "seed-bool"])
     def test_counts_and_seed_must_be_integers(self, field, value, fig1):
         # a float seed would otherwise run the study of its integer part, and a
-        # float count would fail only inside a replication
+        # float count would fail only inside a replication; true and false are
+        # not the counts 1 and 0
         args = {"I_levels": (10,), "J_levels": (4,), "pi_levels": (0.0,), "B": 1,
                 "tree": fig1, field: value}
         with pytest.raises(ValueError, match=f"{field}: expected an integer"):
@@ -285,7 +287,7 @@ class TestRunCellAndStudy:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             run_study(tiny_design, threads=threads)
 
-    @pytest.mark.parametrize("threads", [1.5, "2", None])
+    @pytest.mark.parametrize("threads", [1.5, "2", None, True])
     def test_worker_count_must_be_an_integer(self, tiny_design, threads, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
