@@ -13,14 +13,14 @@ modes moving as dη̂ = H⁻¹ ∂g. The exact observed information, that
 gradient's derivative in forward mode along every parameter from the same
 state (`_observed_information`), is the Hessian of the standard errors and
 of the fit's projected trust-region Newton loop (Conn, Gould & Toint 2000),
-which steps standard deviations to reach their bound e^-8 (sigma = 0, as
-lme4 treats theta >= 0; Bates et al. 2015). A fresh fit takes its SEs from
-its last accepted evaluation; `standard_errors` evaluates a loaded fit once.
+whose standard deviations stop at their bound e^-8 (sigma = 0, as lme4
+treats theta >= 0; Bates et al. 2015). A fresh fit takes its SEs from its
+last accepted evaluation; `standard_errors` evaluates a loaded fit once.
 
-The trait covariance of every design is Sigma = S R S: S = diag(exp s)
-holds the log standard deviations and R = L L' a correlation matrix whose
-Cholesky factor L has unit-norm rows (identity unless unstructured), so
-Sigma is positive definite for every parameter value. The inner Newton
+The trait covariance of every design is Sigma = S R S: S = diag(s) holds
+the standard deviations and R = L L' a correlation matrix whose Cholesky
+factor L has unit-norm rows (identity unless unstructured), so Sigma is
+positive definite for every nonzero s. The inner Newton
 stops at gradient INNER_TOL or, failing that within INNER_MAX_ITER steps,
 where half the Newton decrement is below INNER_DECREMENT_TOL. It makes one
 value pass per iterate, and takes a common trait's (d = 1) step by division.
@@ -38,6 +38,7 @@ import collections
 import contextlib
 import functools
 import json
+import math
 import numbers
 import operator
 import reprlib
@@ -131,7 +132,7 @@ class ModelSpec:
     def cov_layout(self) -> tuple:
         """(sd, low, size): where `_cov_map` reads its `size` parameters,
         extended by a fixed 0 at index size and a fixed 1 at size + 1. sd[i]
-        is the index of log sd s_i and low[i, j] that of b_ij. Scalar ties
+        is the index of sd s_i and low[i, j] that of b_ij. Scalar ties
         every s_i to one parameter; diagonal and unstructured give each its
         own, and unstructured adds b_ij (j < i) in row-major order."""
         d = self.re_dim
@@ -367,9 +368,9 @@ def _cov_map(theta, spec: ModelSpec):
     dL = tr(G dSigma) and its `curvature`, the second-order terms of the
     Hessian in theta (see `_observed_information`).
 
-    S = diag(exp s); R = L L' with row i of L the vector
-    (b_i1, ..., b_i,i-1, 1) scaled to unit norm. R is a correlation matrix
-    and Sigma positive definite for every theta (Pinheiro & Bates 1996).
+    S = diag(s); R = L L' with row i of L the vector (b_i1, ..., b_i,i-1, 1)
+    scaled to unit norm. R is a correlation matrix and Sigma positive
+    definite for every theta with no s_i = 0 (Pinheiro & Bates 1996).
     `ModelSpec.cov_layout` says which entry of theta each s_i and b_ij is.
     """
     sd, low_index, size = spec.cov_layout
@@ -377,15 +378,15 @@ def _cov_map(theta, spec: ModelSpec):
     s, b = ext[sd], ext[low_index]
     norm = np.sqrt((b * b).sum(axis=1))[:, None]
     low = b / norm
-    scale = np.exp(s[:, None] + s)  # exp(s + s) is exp(2 s) to the bit
+    scale = s[:, None] * s
     sigma = scale * (low @ low.T)
 
     def chain(g_sigma):
-        # dL = sum_i 2 (G Sigma)_ii ds_i + tr(2 L' (G * scale) dL), and the
-        # row normalization gives dL_i = (I - L_i L_i') db_i / |b_i|
+        # dL = sum_i 2 (G Sigma)_ii ds_i / s_i + tr(2 L' (G * scale) dL), and
+        # the row normalization gives dL_i = (I - L_i L_i') db_i / |b_i|
         g_low = 2.0 * (g_sigma * scale) @ low
         g_b = (g_low - (g_low * low).sum(axis=1)[:, None] * low) / norm
-        grad = np.concatenate((g_b.ravel(), 2.0 * (g_sigma * sigma).sum(axis=1)))
+        grad = np.concatenate((g_b.ravel(), 2.0 * (g_sigma * sigma).sum(axis=1) / s))
         return np.bincount(np.concatenate((low_index.ravel(), sd)), weights=grad,
                            minlength=size + 2)[:size]
 
@@ -397,7 +398,7 @@ def _cov_map(theta, spec: ModelSpec):
         ds, db = basis[:, sd], basis[:, low_index]
         d_norm = (low * db).sum(axis=-1, keepdims=True)
         d_low = (db - low * d_norm) / norm
-        d_scale = scale * (ds[:, :, None] + ds[:, None, :])
+        d_scale = ds[:, :, None] * s + s[:, None] * ds[:, None, :]
         d_rr = d_low @ low.T
         d_sigma = d_scale * (low @ low.T) + scale * (d_rr + d_rr.transpose(0, 2, 1))
         g_low = 2.0 * (g_sigma * scale) @ low
@@ -405,8 +406,9 @@ def _cov_map(theta, spec: ModelSpec):
         d_g_low = 2.0 * (g_sigma * d_scale) @ low + 2.0 * (g_sigma * scale) @ d_low
         d_k = (d_g_low * low + g_low * d_low).sum(axis=-1, keepdims=True)
         d_g_b = (d_g_low - d_k * low - k * d_low - (g_low - k * low) * d_norm / norm) / norm
-        d_grad = np.concatenate((d_g_b.reshape(size, -1),
-                                 2.0 * (g_sigma * d_sigma).sum(axis=-1)), axis=1)
+        g_s = 2.0 * (g_sigma * sigma).sum(axis=1) / s
+        d_g_s = (2.0 * (g_sigma * d_sigma).sum(axis=-1) - g_s * ds) / s
+        d_grad = np.concatenate((d_g_b.reshape(size, -1), d_g_s), axis=1)
         place = np.eye(size + 2)[np.concatenate((low_index.ravel(), sd)), :size]
         return d_sigma, d_grad @ place
 
@@ -415,19 +417,19 @@ def _cov_map(theta, spec: ModelSpec):
 
 def _cov_params(chol, spec: ModelSpec) -> np.ndarray:
     """The theta at which `_cov_map` gives the covariance whose Cholesky
-    factor is `chol`: s_i is the log norm of its row i and b_ij = chol_ij / chol_ii."""
+    factor is `chol`: s_i is the norm of its row i and b_ij = chol_ij / chol_ii."""
     sd, low_index, size = spec.cov_layout
     theta = np.zeros(size + 2)
     theta[low_index] = chol / np.diag(chol)[:, None]
-    theta[sd] = np.log(np.linalg.norm(chol, axis=1))
+    theta[sd] = np.linalg.norm(chol, axis=1)
     return theta[:size]
 
 
 def _cov_bounds(spec: ModelSpec) -> list:
-    """Bounds of the covariance parameters: [-8, 5] on log standard
+    """Bounds of the covariance parameters: [e^-8, e^5] on standard
     deviations, [-20, 20] on the correlation factor entries b_ij."""
     sd, _, size = spec.cov_layout
-    return [(-8.0, 5.0) if k in sd else (-20.0, 20.0) for k in range(size)]
+    return [(math.exp(-8.0), math.exp(5.0)) if k in sd else (-20.0, 20.0) for k in range(size)]
 
 
 def _pack(alpha_params, cov_params):
@@ -443,7 +445,7 @@ def _start_values(pseudo: PseudoData, spec: ModelSpec) -> np.ndarray:
     p = np.where(den > 0, num / np.maximum(den, 1), 0.5)
     p = np.clip(p, 1e-6, 1 - 1e-6)
     logit = np.clip(np.log(p / (1.0 - p)), -3.0, 3.0)
-    return _pack(logit, np.zeros(spec.cov_layout[2]))
+    return _pack(logit, _cov_params(np.eye(spec.re_dim), spec))
 
 
 def _separation_warnings(pseudo: PseudoData, tree: ResponseTree) -> list:
@@ -495,15 +497,14 @@ def _trust_step(h, g, radius):
 def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) -> FitResult:
     """Maximize the Laplace marginal likelihood over fixed effects and covariance.
 
-    A projected trust-region Newton loop on the exact Hessian H of -L that
-    steps each sd as sigma = e^s: gradient D g (D = 1/sigma on the sds, 1
-    elsewhere), Hessian D (H - diag(g_s)) D. It has converged when D g is
-    below `tol` off the bounds that g points out of. A trial, the free
-    block's `_trust_step` clipped to the box, is taken when the ratio rho of
-    the fall in -L to the model's (each plus 1e-14 |L|; -inf where the inner
-    Newton fails) is above 1e-4. rho < 1/4 cuts the radius to a quarter of
-    the step, rho > 3/4 at the radius doubles it, and a trial that rounds to
-    the current point ends the loop.
+    A projected trust-region Newton loop on the gradient g and exact Hessian
+    of -L in the packed parameters x, whose sds are sigma itself. It has
+    converged when g is below `tol` off the bounds that g points out of. A
+    trial, the free block's `_trust_step` clipped to the box, is taken when
+    the ratio rho of the fall in -L to the model's (each plus 1e-14 |L|; -inf
+    where the inner Newton fails) is above 1e-4. rho < 1/4 cuts the radius to
+    a quarter of the step, rho > 3/4 at the radius doubles it, and a trial
+    that rounds to the current point ends the loop.
 
     Separation, non-convergence and NaN-SE notes go to `FitResult.warnings`;
     nothing is issued as a `UserWarning`.
@@ -516,8 +517,6 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     notes = _separation_warnings(pseudo, tree)
     n_alpha = data.J * spec.item_cols
     lo, hi = np.array([(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)).T
-    is_sd = np.isin(np.arange(lo.size), n_alpha + spec.cov_layout[0])
-    y_lo, y_hi = (np.exp(b, out=b.copy(), where=is_sd) for b in (lo, hi))
     t0 = time.perf_counter()
     x = _start_values(pseudo, spec)
     nll, g, lap = _evaluate(x, pseudo, spec)
@@ -526,31 +525,27 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     while True:
         if accepted:
             free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-            d = np.where(is_sd, np.exp(-x), 1.0)
-            pg_max = float(np.abs(d * g)[free].max(initial=0.0))
+            pg_max = float(np.abs(g)[free].max(initial=0.0))
             if pg_max < options.tol:
                 break
             if iterations == options.max_iter:
                 message = f"stopped at the iteration limit of {options.max_iter}"
                 break
-            hess = _observed_information(x, lap, pseudo, spec)[0]
-            h_y = (d[:, None] * (hess - np.diag(np.where(is_sd, g, 0.0))) * d)[np.ix_(free, free)]
-            g_y, y = (d * g)[free], np.exp(x, out=x.copy(), where=is_sd)
+            h = _observed_information(x, lap, pseudo, spec)[0][np.ix_(free, free)]
         step = np.zeros_like(x)
-        step[free] = _trust_step(h_y, g_y, radius)
-        y_t = (y + step).clip(y_lo, y_hi)
-        s = (y_t - y)[free]
+        step[free] = _trust_step(h, g[free], radius)
+        x_t = (x + step).clip(lo, hi)
+        s = (x_t - x)[free]
         if not (np.abs(s) > 0).any():
             message = "the trust-region step rounds to the current point"
             break
-        x_t = np.log(y_t, out=y_t.copy(), where=is_sd).clip(lo, hi)
         evaluations += 1
         try:
             nll_t, g_t, lap_t = _evaluate(x_t, pseudo, spec, lap.eta)
         except EstimationError:
             nll_t = np.inf
         slack = 1e-14 * abs(nll)  # rounding noise of -L, so steps at the optimum pass
-        predicted = slack - g_y @ s - 0.5 * s @ h_y @ s
+        predicted = slack - g[free] @ s - 0.5 * s @ h @ s
         rho = (nll - nll_t + slack) / predicted if predicted > 0 else -np.inf
         if rho < 0.25:
             radius = 0.25 * np.linalg.norm(s)

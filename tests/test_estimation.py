@@ -225,6 +225,16 @@ def gradient_difference_hessian(x, pseudo, spec, eta0):
     return 0.5 * (hess + hess.T)
 
 
+def perturbed(x, spec, rng, scale):
+    """Packed x moved by one N(0, scale^2) draw per entry: each sd is
+    multiplied by e^draw, so it stays positive and moves by the same factor
+    at every size, and every other entry has the draw added."""
+    noise = rng.normal(scale=scale, size=x.size)
+    sd, _, size = spec.cov_layout
+    is_sd = np.isin(np.arange(x.size), x.size - size + sd)
+    return np.where(is_sd, x * np.exp(noise), x + noise)
+
+
 def information_at(x, pseudo, spec, eta0):
     """`_observed_information` at x, on the Laplace evaluation whose inner
     Newton starts from `eta0`."""
@@ -526,8 +536,7 @@ class TestLaplaceGradient:
         data = RatingMatrix(rng.integers(1, tree.M + 1, size=(30, J)), tree.M)
         pseudo = PseudoData.from_ratings(data, tree)
         spec = ModelSpec(tree, *design)
-        x0 = _start_values(pseudo, spec)
-        x = x0 + rng.normal(scale=0.3, size=x0.size)
+        x = perturbed(_start_values(pseudo, spec), spec, rng, 0.3)
         value, grad, _ = _evaluate(x, pseudo, spec)
         assert value == pytest.approx(neg_laplace_value(x, pseudo, spec, J), rel=1e-12)
         fd = np.empty(x.size)
@@ -582,8 +591,7 @@ class TestInnerNewtonOracle:
             RatingMatrix(rng.integers(1, tree.M + 1, size=(I, J)), tree.M), tree
         )
         spec = ModelSpec(tree, *design)
-        x = _start_values(pseudo, spec)
-        x = x + rng.normal(scale=0.5, size=x.size)
+        x = perturbed(_start_values(pseudo, spec), spec, rng, 0.5)
         n_alpha = J * spec.item_cols
         return x[:n_alpha].reshape(J, spec.item_cols), _cov_map(x[n_alpha:], spec)[0], pseudo
 
@@ -668,22 +676,24 @@ class TestCovarianceMap:
         for theta in np.vstack([corners, mixed]):
             np.linalg.cholesky(_cov_map(theta, spec)[0])
 
-    def test_scalar_and_diagonal_are_exp_of_twice_the_log_sd(self, fig2, rng):
-        theta = rng.uniform(-8.0, 5.0, size=fig2.N)
-        np.testing.assert_array_equal(
-            _cov_map(theta, ModelSpec(fig2, "per-node", "common", "diagonal"))[0],
-            np.diag(np.exp(2.0 * theta)))
+    def test_scalar_and_diagonal_are_the_squared_sds(self, fig2, rng):
+        # sds from every scale of the box [e^-8, e^5]
+        theta = np.exp(rng.uniform(-8.0, 5.0, size=fig2.N))
+        spec = ModelSpec(fig2, "per-node", "common", "diagonal")
+        lo, hi = np.array(_cov_bounds(spec)).T
+        assert ((lo <= theta) & (theta <= hi)).all()
+        np.testing.assert_array_equal(_cov_map(theta, spec)[0], np.diag(theta * theta))
         np.testing.assert_array_equal(
             _cov_map(theta[:1], ModelSpec(fig2, "per-node", "common", "scalar"))[0],
-            np.exp(2.0 * theta[0]) * np.eye(fig2.N))
+            theta[0] * theta[0] * np.eye(fig2.N))
 
     def test_unstructured_reads_correlations_and_sds(self, fig2):
-        # b_ij = 0 off the diagonal is independence; the log sds set the scale
+        # b_ij = 0 off the diagonal is independence; the sds set the scale
         spec = ModelSpec(fig2, *CASE_STUDY_SPEC)
         sd, low, size = spec.cov_layout
         assert size == 10 and sorted([*sd, *low[np.tril_indices(4, -1)]]) == list(range(10))
         theta = np.zeros(size)
-        theta[sd] = np.log([0.5, 1.0, 2.0, 3.0])
+        theta[sd] = [0.5, 1.0, 2.0, 3.0]
         np.testing.assert_allclose(_cov_map(theta, spec)[0], np.diag([0.25, 1.0, 4.0, 9.0]))
         theta[low[1, 0]] = 1.0  # row 1 of L is (1, 1) / sqrt(2): correlation 1/sqrt(2)
         sigma = _cov_map(theta, spec)[0]
@@ -914,26 +924,27 @@ class TestFit:
         start = self._sigma_units(*calls[0][:2])
         lengths = [np.linalg.norm(self._sigma_units(a, s) - start) for a, s, _ in calls[1:]]
         assert len(lengths) >= 2 and lengths[0] > 0
-        # sigma comes back through exp(2 s) and a square root, an ulp or so off
+        # each length is the norm of a rounded step, an ulp or so off
         slack = 4 * np.finfo(float).eps
         assert all(b <= 0.25 * a + slack for a, b in zip(lengths, lengths[1:]))
 
-    @pytest.mark.parametrize("log_sd", [None, -8.0], ids=["start", "at-bound"])
+    @pytest.mark.parametrize("from_bound", [False, True], ids=["start", "at-bound"])
     @pytest.mark.parametrize("cell, J, loglik, sd", [(3, 10, -783.7597, 0.1417),
                                                      (7, 20, -1577.5988, 0.0718)])
-    def test_sd_leaves_its_bound_where_the_likelihood_rises(self, cell, J, loglik, sd, log_sd,
-                                                           fig1, monkeypatch):
+    def test_sd_leaves_its_bound_where_the_likelihood_rises(self, cell, J, loglik, sd,
+                                                           from_bound, fig1, monkeypatch):
         # replication 1 of the README factorial's cell (I 50, J, pi 0.75) at
-        # seed 1. On log sds the fit stopped at sigma = e^-8, where dL/ds is
-        # below tol whatever its sign, 0.13 (J 10) and 0.04 (J 20) below the
-        # interior maximum; per unit sigma the gradient there is not small
+        # seed 1. At the bound sigma = e^-8, dL/dsigma is not small, while
+        # dL/dlog(sigma) = sigma dL/dsigma is below tol whatever its sign: a
+        # fit in log sigma stops there, 0.13 (J 10) and 0.04 (J 20) below the
+        # interior maximum
         rng = _replication_rng(1, cell, 1)
         data = perturb(generate_true_data(50, J, fig1, -1.75, 0.25, rng).ratings,
                        FakingModel(0.75), rng)
-        if log_sd is not None:
+        if from_bound:
             def at_bound(pseudo, spec):
                 x = _start_values(pseudo, spec)
-                x[-1] = log_sd
+                x[-1] = _cov_bounds(spec)[-1][0]
                 return x
 
             monkeypatch.setattr(estimation, "_start_values", at_bound)
@@ -1179,7 +1190,7 @@ class TestObservedInformation:
             return res.x
         # off the optimum the gradient is not zero, so the second-order terms
         # of the covariance map and of the moving modes all count
-        return res.x + np.random.default_rng(3).normal(scale=0.2, size=res.x.size)
+        return perturbed(res.x, res.model, np.random.default_rng(3), 0.2)
 
     @pytest.mark.parametrize("where", ["optimum", "perturbed"])
     @pytest.mark.parametrize("design", ALL_DESIGNS, ids="/".join)
@@ -1251,6 +1262,8 @@ class TestArtifact:
         spec = ModelSpec(fig1, *design)
         n_alpha = 3 * spec.item_cols
         x = rng.normal(scale=0.5, size=n_alpha + len(_cov_bounds(spec)))
+        sd = n_alpha + spec.cov_layout[0]
+        x[sd] = np.exp(x[sd])  # sds inside the box
         res = FitResult(
             alpha_hat=x[:n_alpha].reshape(3, spec.item_cols),
             sigma_hat=_cov_map(x[n_alpha:], spec)[0], eta_hat=np.zeros((2, fig1.N)),
@@ -1360,6 +1373,22 @@ class TestLoadedFit:
         # loaded modes give the fresh fit's SEs bit for bit
         at_fit_x = dataclasses.replace(back, x=res.x)
         np.testing.assert_array_equal(standard_errors(at_fit_x, data), res.se_alpha)
+
+    @pytest.mark.parametrize("preset, design, seed", [
+        ("fig1-5cat", ("per-node", "per-node", "diagonal"), [7, 2]),
+        ("fig2-6cat", ("per-node", "common", "diagonal"), [7, 7]),
+        ("fig1-5cat", ("common", "common", "scalar"), [7, 1]),
+    ], ids=["fig1-pernode-pernode-diag", "fig2-pernode-diag", "fig1-common"])
+    def test_scalar_and_diagonal_fits_keep_their_bits(self, preset, design, seed):
+        # without correlations, the loader reads each sd back as the square
+        # root of its square: x and the SEs come back to the bit
+        tree = preset_tree(preset)
+        data = generate_true_data(60, 6, tree, -1.0, 0.5, np.random.default_rng(seed)).ratings
+        res = fit(data, ModelSpec(tree, *design))
+        assert np.isfinite(res.se_alpha).all()
+        back = fit_from_json(fit_to_json(res), tree)
+        np.testing.assert_array_equal(back.x, res.x)
+        np.testing.assert_array_equal(standard_errors(back, data), res.se_alpha)
 
     def test_unstructured_case_study_stand_in(self, fig2):
         data = case_study_stand_in(seed=0)

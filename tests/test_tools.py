@@ -87,7 +87,7 @@ def test_canonical_artifacts_are_byte_identical_from_run_to_run(tmp_path):
         assert proc.returncode == 0, err
     done = compare(*runs)
     assert done.returncode == 0, done.stdout
-    assert done.stdout == "0 of 171 files differ\n"
+    assert done.stdout == "0 of 178 files differ\n"
     one_thread = sorted(runs[0].glob("simulate-*-threads1.csv"))
     assert one_thread
     for path in one_thread:

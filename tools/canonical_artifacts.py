@@ -21,6 +21,9 @@ command's exit code. The outputs:
   (`UNSTRUCTURED_DESIGNS`): the covariance chain and the `curvature` terms
   of the b_ij in the standard errors;
 - the fit of two raters who both answer 3, 3, 3 (separation notes);
+- fit JSON, stdout, stderr and the convert CSV of 150 x 10 fig1-5cat
+  ratings with no trait (`traitless_ratings`), whose fit ends with sigma
+  at its bound e^-8: the bound of the Newton loop and the information there;
 - the fit and convert of the fig1-5cat ratings rewritten with a header row,
   padded cells and cells written as `3.0`;
 - a 2000 x 40 convert of an artifact written from the generating
@@ -131,6 +134,15 @@ def correlated_ratings(I, rng):
         category_probability_table(tree, eta[:, None, :], CASE_STUDY_ALPHA[None]), rng)
 
 
+def traitless_ratings(I, J, rng):
+    """fig1-5cat ratings of I raters with no trait (eta = 0 for every rater)
+    on J items of easiness -1 + 0.5 N(0, 1)."""
+    tree = preset_tree("fig1-5cat")
+    alpha = -1.0 + 0.5 * rng.standard_normal((J, 1))
+    return _draw_categories(
+        category_probability_table(tree, np.zeros((I, 1, tree.N)), alpha[None]), rng)
+
+
 def write_generating_artifact(path, tree, gen):
     truth = estimation.FitResult(
         alpha_hat=gen.alpha[:, :1], sigma_hat=np.eye(1), eta_hat=gen.eta,
@@ -180,6 +192,10 @@ def write_all(outdir):
     write_ratings(correlated, correlated_ratings(150, np.random.default_rng(SEED)))
     for label, extra in UNSTRUCTURED_DESIGNS.items():
         fit_and_convert(f"correlated-{label}", "fig2-6cat", correlated, extra)
+
+    traitless = path("ratings-traitless.csv")
+    write_ratings(traitless, traitless_ratings(150, 10, np.random.default_rng([SEED, 1])))
+    fit_and_convert("traitless", "fig1-5cat", traitless, [])
 
     separated = path("ratings-separated.csv")
     write_ratings(separated, np.full((2, 3), 3))
