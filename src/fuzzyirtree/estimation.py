@@ -47,9 +47,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
-from .tree import ResponseTree
+from .tree import ResponseTree, expit
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 INNER_TOL = 1e-8
@@ -425,11 +424,16 @@ def _cov_params(chol, spec: ModelSpec) -> np.ndarray:
     return theta[:size]
 
 
-def _cov_bounds(spec: ModelSpec) -> list:
-    """Bounds of the covariance parameters: [e^-8, e^5] on standard
-    deviations, [-20, 20] on the correlation factor entries b_ij."""
+def _box(n_alpha: int, spec: ModelSpec) -> np.ndarray:
+    """(lo, hi) of packed x: +-ALPHA_BOUND, then [e^-8, e^5] on sds and [-20, 20] on b_ij."""
     sd, _, size = spec.cov_layout
-    return [(math.exp(-8.0), math.exp(5.0)) if k in sd else (-20.0, 20.0) for k in range(size)]
+    return np.array([(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + [
+        (math.exp(-8.0), math.exp(5.0)) if k in sd else (-20.0, 20.0) for k in range(size)]).T
+
+
+def _free(x, g, lo, hi) -> np.ndarray:
+    """Mask of x off the bounds of [lo, hi] that the gradient g of -L points out of."""
+    return ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
 
 
 def _pack(alpha_params, cov_params):
@@ -516,7 +520,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     pseudo_data_s = time.perf_counter() - t0
     notes = _separation_warnings(pseudo, tree)
     n_alpha = data.J * spec.item_cols
-    lo, hi = np.array([(-ALPHA_BOUND, ALPHA_BOUND)] * n_alpha + _cov_bounds(spec)).T
+    lo, hi = _box(n_alpha, spec)
     t0 = time.perf_counter()
     x = _start_values(pseudo, spec)
     nll, g, lap = _evaluate(x, pseudo, spec)
@@ -524,7 +528,7 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     radius, accepted = FIRST_RADIUS, True
     while True:
         if accepted:
-            free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+            free = _free(x, g, lo, hi)
             pg_max = float(np.abs(g)[free].max(initial=0.0))
             if pg_max < options.tol:
                 break
@@ -584,10 +588,12 @@ def fit(data: RatingMatrix, spec: ModelSpec, options: FitOptions | None = None) 
     )
     if options.compute_se and converged:
         t0 = time.perf_counter()
-        result.se_alpha = _information_se(x, lap, pseudo, spec)
+        result.se_alpha = _information_se(x, g, lap, pseudo, spec)
         result.diagnostics["se_s"] = time.perf_counter() - t0
-        if np.isnan(result.se_alpha).any():
+        if np.isnan(result.se_alpha.ravel()[free[:n_alpha]]).any():
             result.warnings.append("observed information is not invertible; SEs set to NaN")
+        if not free[:n_alpha].all():
+            result.warnings.append(f"SEs of easiness held at +-{ALPHA_BOUND:g} set to NaN")
     return result
 
 
@@ -660,19 +666,18 @@ def _observed_information(x, lap: _Laplace, pseudo: PseudoData, spec: ModelSpec)
     return 0.5 * (hess + hess.T), d_eta
 
 
-def _information_se(x, lap: _Laplace, pseudo: PseudoData, spec: ModelSpec) -> np.ndarray:
-    """Easiness SEs, shaped like alpha, from the exact information at packed x
-    on its record `lap`; all NaN where it is singular or gives a negative variance."""
+def _information_se(x, g, lap: _Laplace, pseudo: PseudoData, spec: ModelSpec) -> np.ndarray:
+    """Easiness SEs, shaped like alpha, from the information at x on its record `lap`, inverted
+    on the `_free` block of g: NaN where held, all NaN where singular or a variance is negative."""
     n_alpha = pseudo.J * spec.item_cols
-    hess = _observed_information(x, lap, pseudo, spec)[0]
-    try:
-        diag = np.diag(np.linalg.inv(hess))[:n_alpha]
-        if np.any(diag < 0):
-            raise np.linalg.LinAlgError("negative variance estimate")
-        se = np.sqrt(diag)
-    except np.linalg.LinAlgError:
-        se = np.full(n_alpha, np.nan)
-    return se.reshape(pseudo.J, spec.item_cols)
+    free = _free(x, g, *_box(n_alpha, spec))
+    var = np.full(x.size, np.nan)
+    with contextlib.suppress(np.linalg.LinAlgError):  # singular: every SE stays NaN
+        var[free] = np.diag(np.linalg.inv(
+            _observed_information(x, lap, pseudo, spec)[0][np.ix_(free, free)]))
+    if np.any(var[:n_alpha] < 0):
+        var[:] = np.nan
+    return np.sqrt(var[:n_alpha]).reshape(pseudo.J, spec.item_cols)
 
 
 def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
@@ -681,9 +686,9 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     The information is the exact Hessian of the Laplace objective at the
     optimum (`_observed_information`): one Laplace evaluation at `fitres.x`
     from the fit's modes (a fresh fit reuses its last one), then one
-    forward-mode pass of the analytic gradient along every parameter. Where
-    it is not invertible or gives a negative variance, every SE is NaN, and
-    `fit` says so in `FitResult.warnings`.
+    forward-mode pass of the analytic gradient along every parameter, inverted
+    over the coordinates `fit` leaves free. Where that is singular or gives a
+    negative variance, every SE is NaN, and `fit` says so in `FitResult.warnings`.
     """
     spec = fitres.model
     if fitres.x is None:
@@ -692,8 +697,8 @@ def standard_errors(fitres: FitResult, data: RatingMatrix) -> np.ndarray:
     if data.values.shape != shape:
         raise ValueError(f"ratings must be {shape} as in the fit, got {data.values.shape}")
     pseudo = PseudoData.from_ratings(data, spec.tree)
-    lap = _evaluate(fitres.x, pseudo, spec, fitres.eta_hat[:, : spec.re_dim])[2]
-    return _information_se(fitres.x, lap, pseudo, spec)
+    _, g, lap = _evaluate(fitres.x, pseudo, spec, fitres.eta_hat[:, : spec.re_dim])
+    return _information_se(fitres.x, g, lap, pseudo, spec)
 
 
 def fit_to_json(fitres: FitResult) -> str:

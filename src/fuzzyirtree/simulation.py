@@ -8,6 +8,7 @@ order or worker count.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +16,6 @@ from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
 from .estimation import (
     EstimationError,
@@ -67,11 +67,45 @@ def replacement_distribution(h: int, M: int, model: FakingModel) -> np.ndarray:
         out[h - 1] = 1.0
         return out
     out[h - 1] = 1.0 - model.pi
-    edges = np.linspace(0.0, 1.0, room + 1)
+    bins = np.diff([_betainc(model.gamma, model.delta, x)
+                    for x in np.linspace(0.0, 1.0, room + 1).tolist()])
+    if not (bins >= 0.0).all():  # NaN too
+        raise ValueError(f"cannot bin the faking model's Beta({model.gamma:g}, {model.delta:g})")
     # the k-th category away from h in the faking direction gets the k-th bin
-    out[h - 1 + sign * np.arange(1, room + 1)] = model.pi * np.diff(
-        betainc(model.gamma, model.delta, edges))
+    out[h - 1 + sign * np.arange(1, room + 1)] = model.pi * bins
     return out
+
+
+def _lgamma_rest(z):
+    """lgamma(z) - (z - 1/2) log z + z, by Stirling's series from z = 15 (to 3e-14)."""
+    if z < 15.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z
+    r = 1.0 / (z * z)  # 0.918... is log(2 pi) / 2
+    return 0.9189385332046727 + (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / z
+
+
+def _betainc(a, b, x, swapped=False):
+    """I_x(a, b) by the modified Lentz method on the continued fraction of Numerical
+    Recipes 6.4 (1 - I_1-x(b, a) past x = (a+1)/(a+b+2)), the log of x^a (1-x)^b / B(a, b)
+    expanded around a/(a+b); NaN past 2e4 terms (a, b ~ 1e10 near the mean) or outside [0, 1]."""
+    if x <= 0.0 or x >= 1.0:
+        return float(x >= 1.0)
+    if not swapped and x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x, True)
+    lam = (a + b) * x - a
+    log_front = (a * math.log1p(lam / a) + b * math.log1p(-lam / b)
+                 + 0.5 * (math.log(a / (a + b)) + math.log(b))
+                 + _lgamma_rest(a + b) - _lgamma_rest(a) - _lgamma_rest(b))
+    c, d, h = 1.0, 0.0, 1.0  # h -> 1 + t_1/(1 + t_2/(1 + ...)), and I = front / (a h)
+    for k in range(1, 20_000):
+        u, v = (k // 2, b - k // 2) if k % 2 == 0 else (-(a + k // 2), a + b + k // 2)
+        t = u / (a + (k - 1)) * v * x / (a + k)
+        d, c = 1.0 / ((1.0 + t * d) or 1e-300), (1.0 + t / c) or 1e-300
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            out = math.exp(log_front) / (a * h)
+            return out if 0.0 <= out <= 1.0 else math.nan  # rounding at shapes near 1e-300
+    return math.nan
 
 
 def _draw_categories(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,13 @@ class ResponseTree:
 
     def digest(self) -> str:
         return hashlib.sha256(self.spec_text().encode("utf-8")).hexdigest()
+
+
+def expit(x) -> np.ndarray:
+    """1/(1 + exp(-x)) elementwise in a new float array; 0, with no warning, past overflow."""
+    e = np.negative(x, dtype=float, out=np.empty(np.shape(x)))
+    e[e > 709.782712893384] = np.inf  # the log of the largest float: exp overflows past it
+    return np.divide(1.0, np.add(np.exp(e, out=e), 1.0, out=e), out=e)
 
 
 def category_probabilities(tree: ResponseTree, traits, easiness) -> np.ndarray:

@@ -662,6 +662,16 @@ class TestSimulate:
         assert len(lines) == 3  # header + 2 cells
         assert "recovery" in capsys.readouterr().out
 
+    def test_beta_too_narrow_to_bin_is_a_domain_error(self, tmp_path, capsys):
+        doc = {"I": [20], "J": [4], "pi": [0.5], "B": 1, "tree": "fig1-5cat", "seed": 5,
+               "gamma": 4e10, "delta": 4e10}
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(doc))
+        code = run_cli("simulate", "--design", str(design), "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_DOMAIN
+        assert "cannot bin the faking model's Beta(4e+10, 4e+10)" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_invalid_b(self, tmp_path, capsys):
         design = self._design(tmp_path, B=0)
         code = run_cli("simulate", "--design", str(design),
@@ -793,23 +803,23 @@ def test_installed_entry_point(tmp_path):
 
 
 class TestOptimizerImport:
-    """No command loads scipy.optimize; each case is a fresh process."""
+    """No command loads a scipy module, scipy.optimize included; each case is
+    a fresh process."""
 
     SCRIPT = """
 import json, sys
-from fuzzyirtree import cli, simulation
-before = "scipy.optimize" in sys.modules
+from fuzzyirtree import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+before = scipy_modules()
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-if sys.argv[2] == "study":
-    design = simulation.SimDesign(I_levels=(20,), J_levels=(4,), pi_levels=(0.0,), B=2,
-                                  tree=cli.tree.preset_tree("fig1-5cat"), seed=5)
-    simulation.run_study(design, threads=2)
-print(json.dumps([before, codes, "scipy.optimize" in sys.modules]))
+print(json.dumps([before, codes, scipy_modules()]))
 """
 
-    def _run(self, commands, study=False):
-        proc = _fresh_python("-c", self.SCRIPT, json.dumps(commands),
-                             "study" if study else "")
+    def _run(self, commands):
+        proc = _fresh_python("-c", self.SCRIPT, json.dumps(commands))
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
@@ -820,18 +830,20 @@ print(json.dumps([before, codes, "scipy.optimize" in sys.modules]))
             ["eval", "--c", "3", "--l", "2", "--r", "4", "--grid"],
             ["validate-tree", "--preset", "fig2-6cat"],
         ]
-        assert self._run(commands) == [False, [EXIT_OK] * 3, False]
+        assert self._run(commands) == [[], [EXIT_OK] * 3, []]
 
     def test_fit_does_not_load_it(self, ratings_csv, tmp_path):
+        # with SEs, the default
         path, _ = ratings_csv
         fit = ["fit", "--preset", "fig1-5cat", "--data", str(path),
                "--out", str(tmp_path / "fit.json")]
-        assert self._run([fit]) == [False, [EXIT_OK], False]
+        assert self._run([fit]) == [[], [EXIT_OK], []]
 
     def test_serial_and_pooled_studies_do_not_load_it(self, tmp_path):
-        # the serial study fits in this process, then a threads=2 study forks
+        # the serial study bins the faking model's Beta (pi = 0.5) in this
+        # process, then a --threads 2 study forks its workers from it
         design = tmp_path / "design.json"
-        design.write_text(json.dumps({"I": [20], "J": [4], "pi": [0.0], "B": 2,
+        design.write_text(json.dumps({"I": [20], "J": [4], "pi": [0.0, 0.5], "B": 2,
                                       "tree": "fig1-5cat", "seed": 5}))
         simulate = ["simulate", "--design", str(design), "--out", str(tmp_path / "s.csv")]
-        assert self._run([simulate], study=True) == [False, [EXIT_OK], False]
+        assert self._run([simulate, simulate + ["--threads", "2"]]) == [[], [EXIT_OK] * 2, []]

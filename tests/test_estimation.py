@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from fuzzyirtree import estimation
 from fuzzyirtree.estimation import (
@@ -19,7 +18,7 @@ from fuzzyirtree.estimation import (
     ModelSpec,
     PseudoData,
     RatingMatrix,
-    _cov_bounds,
+    _box,
     _cov_map,
     _evaluate,
     _observed_information,
@@ -34,7 +33,7 @@ from fuzzyirtree.estimation import (
 )
 from fuzzyirtree.fuzzy import convert_all
 from fuzzyirtree.simulation import FakingModel, _replication_rng, generate_true_data, perturb
-from fuzzyirtree.tree import category_probability_table, preset_tree
+from fuzzyirtree.tree import category_probability_table, expit, preset_tree
 
 # the step of `gradient_difference_hessian`, relative to max(1, |x|)
 GRADIENT_DIFF_STEP = 1e-2
@@ -668,7 +667,7 @@ class TestCovarianceMap:
         # every corner of the box, then draws that put each parameter at a
         # bound or inside it at random
         spec = ModelSpec(fig2, *design)
-        lo, hi = np.array(_cov_bounds(spec)).T
+        lo, hi = _box(0, spec)
         corners = np.array(list(itertools.product(*zip(lo, hi))))
         inside = rng.uniform(lo, hi, size=(2000, lo.size))
         at_bound = np.where(rng.random(inside.shape) < 0.5, lo, hi)
@@ -680,7 +679,7 @@ class TestCovarianceMap:
         # sds from every scale of the box [e^-8, e^5]
         theta = np.exp(rng.uniform(-8.0, 5.0, size=fig2.N))
         spec = ModelSpec(fig2, "per-node", "common", "diagonal")
-        lo, hi = np.array(_cov_bounds(spec)).T
+        lo, hi = _box(0, spec)
         assert ((lo <= theta) & (theta <= hi)).all()
         np.testing.assert_array_equal(_cov_map(theta, spec)[0], np.diag(theta * theta))
         np.testing.assert_array_equal(
@@ -799,7 +798,10 @@ class TestFit:
         data, _ = _simulate(40, 4, fig1, seed=11)
         spec = ModelSpec(fig1, *design)
         a, b = fit(data, spec), fit(data, spec)
-        assert a.se_alpha is not None and np.isfinite(a.se_alpha).all()
+        # per-node items hold one easiness at -ALPHA_BOUND, which has no SE
+        held = np.abs(a.alpha_hat) == estimation.ALPHA_BOUND
+        assert a.se_alpha is not None and np.isfinite(a.se_alpha[~held]).all()
+        assert np.isnan(a.se_alpha[held]).all()
         assert fit_to_json(a) == fit_to_json(b)
 
     def test_rater_permutation_equivariance(self, fig1):
@@ -821,7 +823,7 @@ class TestFit:
         assert any("separation" in w for w in res.warnings)
 
     def test_nan_standard_errors_are_noted_not_warned(self, fig1, monkeypatch):
-        def nan_se(x, lap, pseudo, spec):
+        def nan_se(x, g, lap, pseudo, spec):
             return np.full((pseudo.J, spec.item_cols), np.nan)
 
         monkeypatch.setattr(estimation, "_information_se", nan_se)
@@ -944,7 +946,7 @@ class TestFit:
         if from_bound:
             def at_bound(pseudo, spec):
                 x = _start_values(pseudo, spec)
-                x[-1] = _cov_bounds(spec)[-1][0]
+                x[-1] = _box(0, spec)[0][-1]
                 return x
 
             monkeypatch.setattr(estimation, "_start_values", at_bound)
@@ -1129,6 +1131,45 @@ class TestStandardErrors:
         assert res.se_alpha is not None
         np.testing.assert_array_equal(standard_errors(res, data), res.se_alpha)
 
+    def test_held_sd_is_left_out(self, fig1):
+        # ratings with no trait: the fit holds sigma at its bound e^-8 with
+        # dL/dsigma < 0, where x is not a stationary point. Over the free
+        # block the SEs do not depend on the sd's coordinate; over the whole
+        # information they moved by 6e-8 between sigma and log sigma
+        rng = np.random.default_rng([2024, 1])
+        alpha = -1.0 + 0.5 * rng.standard_normal((10, 1))
+        probs = category_probability_table(fig1, np.zeros((150, 1, fig1.N)), alpha[None])
+        cdf = np.cumsum(probs, axis=-1)
+        cdf[..., -1] = 1.0
+        data = RatingMatrix((cdf < rng.random((150, 10))[..., None]).sum(axis=-1) + 1, 5)
+        spec = ModelSpec(fig1)
+        res = fit(data, spec)
+        pseudo = PseudoData.from_ratings(data, fig1)
+        _, g, lap = _evaluate(res.x, pseudo, spec, res.eta_hat[:, :1])
+        assert res.x[-1] == _box(10, spec)[0][-1] and g[-1] > 0
+        hess = _observed_information(res.x, lap, pseudo, spec)[0]
+        # the information in (alpha, log sigma): D H D + diag(g sigma) on the sd
+        in_log = hess.copy()
+        in_log[-1] *= res.x[-1]
+        in_log[:, -1] *= res.x[-1]
+        in_log[-1, -1] += g[-1] * res.x[-1]
+
+        def se(h):
+            return np.sqrt(np.diag(np.linalg.inv(h))[:10])
+
+        assert np.max(np.abs(se(in_log) / se(hess) - 1)) > 1e-8
+        for h in (hess, in_log):
+            np.testing.assert_array_equal(res.se_alpha.ravel(), se(h[:10, :10]))
+        np.testing.assert_array_equal(standard_errors(res, data), res.se_alpha)
+
+    def test_held_easiness_has_no_se(self, fig1):
+        data, _ = _simulate(40, 4, fig1, seed=11)
+        res = fit(data, ModelSpec(fig1, "per-node", "per-node", "diagonal"))
+        held = res.alpha_hat == -estimation.ALPHA_BOUND
+        assert held.sum() == 1 and np.isnan(res.se_alpha[held]).all()
+        assert np.isfinite(res.se_alpha[~held]).all()
+        assert "SEs of easiness held at +-15 set to NaN" in res.warnings
+
     @pytest.mark.parametrize("curvature", [0.0, -1.0], ids=["singular", "negative"])
     def test_unusable_information_gives_nan(self, curvature, fitted, monkeypatch):
         # an information of curvature * I: zero is not invertible and -1
@@ -1261,7 +1302,7 @@ class TestArtifact:
         # loader inverts the covariance parametrization to get x back
         spec = ModelSpec(fig1, *design)
         n_alpha = 3 * spec.item_cols
-        x = rng.normal(scale=0.5, size=n_alpha + len(_cov_bounds(spec)))
+        x = rng.normal(scale=0.5, size=n_alpha + spec.cov_layout[2])
         sd = n_alpha + spec.cov_layout[0]
         x[sd] = np.exp(x[sd])  # sds inside the box
         res = FitResult(

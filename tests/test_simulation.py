@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import types
 import warnings
@@ -18,6 +19,7 @@ from fuzzyirtree.simulation import (
     run_study,
 )
 from fuzzyirtree.estimation import EstimationError, RatingMatrix
+from scipy import special
 
 
 def centred_pa_values(est, truth) -> np.ndarray:
@@ -82,6 +84,45 @@ class TestReplacementDistribution:
         d = replacement_distribution(h, 5, FakingModel(pi=0.7, gamma=gamma, delta=delta))
         assert d.sum() == pytest.approx(1.0, abs=1e-12)
         assert (d[: h - 1] == 0).all()
+
+
+class TestBetainc:
+    """The package's incomplete beta against scipy's, a test-only oracle, on
+    the 13 bin edges of a 12-category room."""
+
+    EDGES = np.linspace(0.0, 1.0, 13)
+
+    def _betainc(self, a, b):
+        got = [simulation._betainc(a, b, x) for x in self.EDGES.tolist()]
+        assert got[0] == 0.0 and got[-1] == 1.0
+        return got
+
+    def test_moderate_shapes(self):
+        for a, b in itertools.product(np.logspace(-3, 3, 31).tolist(), repeat=2):
+            want = special.betainc(a, b, self.EDGES)
+            np.testing.assert_allclose(self._betainc(a, b), want, rtol=0, atol=1e-12)
+
+    def test_large_shapes_agree_or_refuse(self):
+        # Stirling's series keeps the prefactor's log from cancelling up to 1e9;
+        # a fraction that does not converge gives NaN, which the faking model
+        # refuses with a ValueError
+        rng = np.random.default_rng(8)
+        shapes = [(1e9, 1e9), (5e8, 1e9), (1e9, 1e-3), (1e7, 2e7), (3e5, 1e5)]
+        shapes += [tuple(v) for v in 10 ** rng.uniform(-3, 9, (60, 2))]
+        for a, b in shapes:
+            got = self._betainc(a, b)
+            if np.isnan(got).any():
+                with pytest.raises(ValueError, match="cannot bin"):
+                    replacement_distribution(1, 13, FakingModel(pi=0.5, gamma=a, delta=b))
+            else:
+                want = special.betainc(a, b, self.EDGES)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("gamma,delta", [(4e10, 4e10), (1e-310, 2.0)],
+                             ids=["too-narrow", "subnormal"])
+    def test_shapes_it_cannot_bin_are_a_value_error(self, gamma, delta):
+        with pytest.raises(ValueError, match="cannot bin"):
+            replacement_distribution(1, 5, FakingModel(pi=0.5, gamma=gamma, delta=delta))
 
 
 class TestPerturb:

@@ -1,16 +1,18 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy import special
 
 from fuzzyirtree.tree import (
     NA,
     ResponseTree,
     category_probabilities,
     category_probability_table,
+    expit,
     parse_tree_spec,
     preset_tree,
     validate_tree,
@@ -123,6 +125,23 @@ class TestCategoryProbabilities:
             category_probabilities(fig1, [0.0, 0.0], [0.0] * fig1.N)
         with pytest.raises(ValueError, match="length"):
             category_probabilities(fig1, [0.0] * fig1.N, [0.0] * (fig1.N + 1))
+
+
+class TestExpit:
+    """The package's numpy `expit` against scipy's, a test-only oracle."""
+
+    def test_close_to_scipy(self):
+        x = np.random.default_rng(3).normal(0.0, 4.0, 1_000_000)
+        want = special.expit(x)
+        assert np.max(np.abs(expit(x) - want) / want) <= 4.5e-16
+
+    def test_extremes_without_warnings(self):
+        x = np.array([800.0, -800.0, np.inf, -np.inf, -1e-300, -709.78, -709.79])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(x)
+        np.testing.assert_array_equal(got, special.expit(x))
+        np.testing.assert_array_equal(got[:5], [1.0, 0.0, 1.0, 0.0, 0.5])
 
 
 class TestCategoryTableOracle:
