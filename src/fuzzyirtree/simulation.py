@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple
 
@@ -308,12 +306,14 @@ def run_study(design: SimDesign, threads: int = 1) -> SimResult:
              for idx, (I, J, pi) in enumerate(cells) for b in range(B)]
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures  # here: no serial study or other command forks
+        import multiprocessing
         # fork, not the platform default: workers inherit the parent's loaded
         # modules, and callers need no __main__ guard. Fork copies only the
         # calling thread, so other threads of the caller must not hold locks
         # that a replication takes.
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
             reps = list(pool.map(_run_replication, *zip(*tasks), chunksize=1))
     else:
         reps = list(itertools.starmap(_run_replication, tasks))

@@ -847,3 +847,49 @@ print(json.dumps([before, codes, scipy_modules()]))
                                       "tree": "fig1-5cat", "seed": 5}))
         simulate = ["simulate", "--design", str(design), "--out", str(tmp_path / "s.csv")]
         assert self._run([simulate, simulate + ["--threads", "2"]]) == [[], [EXIT_OK] * 2, []]
+
+
+class TestPoolImport:
+    """Only a study that forks loads multiprocessing and concurrent.futures;
+    each case is a fresh process."""
+
+    SCRIPT = """
+import json, sys
+from fuzzyirtree import cli
+
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+pool = sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+print(json.dumps([codes, pool]))
+"""
+
+    def _run(self, commands):
+        proc = _fresh_python("-c", self.SCRIPT, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.fixture
+    def simulate(self, tmp_path):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"I": [20], "J": [4], "pi": [0.0, 0.5], "B": 2,
+                                      "tree": "fig1-5cat", "seed": 5}))
+        return ["simulate", "--design", str(design), "--out", str(tmp_path / "s.csv")]
+
+    def test_commands_that_do_not_fork(self, ratings_csv, zero_parameter_fit, tmp_path,
+                                       simulate):
+        path, _ = ratings_csv
+        commands = [
+            ["fit", "--preset", "fig1-5cat", "--data", str(path),
+             "--out", str(tmp_path / "fit.json")],
+            ["convert", "--preset", "fig1-5cat", "--fit", str(zero_parameter_fit),
+             "--out", str(tmp_path / "fuzzy.csv")],
+            ["eval", "--c", "3", "--l", "2", "--r", "4", "--grid"],
+            ["validate-tree", "--preset", "fig2-6cat"],
+            simulate,
+        ]
+        assert self._run(commands) == [[EXIT_OK] * 5, []]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: the study runs serially")
+    def test_a_pooled_study_loads_them(self, simulate):
+        codes, pool = self._run([simulate + ["--threads", "2"]])
+        assert codes == [EXIT_OK]
+        assert {"multiprocessing", "concurrent.futures"} <= set(pool)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from fuzzyirtree.estimation import FitOptions, ModelSpec, RatingMatrix, fit
-from fuzzyirtree import fuzzy
 from fuzzyirtree.fuzzy import (
     BLOCK_CELLS,
     DEFAULT_GRID_POINTS,
@@ -86,13 +86,14 @@ def oracle_kaufmann_index(memberships):
     return float(k) if k.ndim == 0 else k
 
 
-def oracle_kaufmann_support_table(c, l, r, omega):
-    """The Kaufmann support kernel as it was before the closed form, kept as
-    an oracle: `oracle_membership_rows` on the y-grid l + (r - l) * m of the
-    whole table at once, reduced by `oracle_kaufmann_index`. Its last point can
-    fall an ulp short of r, where the membership is then not 0."""
+def oracle_kaufmann_support_table(c, l, r, omega, points=DEFAULT_GRID_POINTS):
+    """The Kaufmann support kernel as it was before the integral, kept as an
+    oracle: `oracle_membership_rows` on the y-grid l + (r - l) * m of `points`
+    even points m in [0, 1], for the whole table at once, reduced by
+    `oracle_kaufmann_index`. Its last point can fall an ulp short of r, where
+    the membership is then not 0."""
     c, l, r, w = (np.asarray(v, float)[..., None] for v in (c, l, r, omega))
-    grid = l + (r - l) * np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+    grid = l + (r - l) * np.linspace(0.0, 1.0, points)
     return oracle_kaufmann_index(oracle_membership_rows(grid, c, l, r, w))
 
 
@@ -115,6 +116,20 @@ def oracle_kaufmann_support(c, l, r, omega):
             mu = 0.0
         total += min(mu, 1.0 - mu)
     return 2.0 * total / DEFAULT_GRID_POINTS
+
+
+def quad_kaufmann(omega):
+    """K(omega) = 4 * integral over [0, 1/2] of du / (1 + ((1 - u)/u)**omega)
+    by scipy's adaptive quadrature, with the integrand written as e/(1 + e),
+    e = ((1 - u)/u)**-omega, which cannot overflow."""
+    def integrand(u):
+        e = math.exp(-omega * math.log((1.0 - u) / u)) if u > 0 else 0.0
+        return e / (1.0 + e)
+
+    with warnings.catch_warnings():
+        # an absolute tolerance of 1e-15 is below what quad can certify
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return 4.0 * quad(integrand, 0.0, 0.5, epsabs=1e-15, epsrel=0.0)[0]
 
 
 def oracle_convert(p):
@@ -643,15 +658,17 @@ class TestKaufmann:
     def test_support_universe_value(self):
         # on its own support the linear triangle is maximally spread out:
         # the continuum value of (2/(r-l)) int |A - delta| is 1/2
-        k = kaufmann_support(Tfn4(3, 2, 4, 1))
-        assert k == pytest.approx(0.5, abs=4e-3)
+        assert kaufmann_support(Tfn4(3, 2, 4, 1)) == pytest.approx(0.5, abs=4e-15)
+        assert kaufmann_support(Tfn4(3, 2, 4, 0.5)) == pytest.approx(math.log(2), abs=4e-15)
 
     def test_support_matches_index_on_support_grid(self):
+        # the index of the membership on an even grid of the support tends to
+        # the integral from below, ten times closer for ten times the points
         f = Tfn4(2.8, 1.5, 4.2, 0.6)
-        grid = np.linspace(f.l, f.r, 201)
-        assert kaufmann_support(f) == pytest.approx(
-            oracle_kaufmann_index(membership(f, grid)), abs=1e-12
-        )
+        gaps = [kaufmann_support(f) - oracle_kaufmann_index(membership(f, np.linspace(f.l, f.r, n)))
+                for n in (201, 2001, 20001)]
+        assert 0 < gaps[2] < gaps[1] / 8 < gaps[0] / 64
+        assert gaps[0] < 0.01
 
     def test_tables_match_scalar_versions(self, rng):
         c = rng.uniform(2, 4, 20)
@@ -663,11 +680,9 @@ class TestKaufmann:
         full = np.linspace(1.0, 5.0, 201)
         for i in range(20):
             f = Tfn4(c[i], l[i], r[i], w[i])
-            own = np.linspace(f.l, f.r, 201)
             np.testing.assert_allclose(membership(f, full), oracle_membership(f, full),
                                        rtol=0, atol=1e-12)
-            assert ks[i] == pytest.approx(
-                _kaufmann_loop(oracle_membership(f, own)), abs=1e-12)
+            assert ks[i] == pytest.approx(quad_kaufmann(w[i]), abs=1e-14)
             assert kaufmann_support(f) == ks[i]
 
     def test_support_table_keeps_the_input_shape(self, rng):
@@ -703,46 +718,57 @@ class TestKaufmannClosedForm:
     def test_matches_the_y_grid_kernel(self, rng):
         c, l, r, w = _support_cells(rng, 20_000, 0.05)
         assert (l[0], r[1], l[2], r[2]) == (c[0], c[1], c[2], c[2])
-        assert ((r - l)[3:] > 0.05 * (1 - 1e-12)).all()
         ks = kaufmann_support_table(c, l, r, w)
         old = oracle_kaufmann_support_table(c, l, r, w)
-        # the y-grid kernel loses digits in two kinds of cell, which the loop
-        # oracle checks instead: where l + (r - l) rounds below r, its last
-        # point is not the endpoint and scores up to ((r - y) / (y - c))**omega,
-        # about 1e-3 at omega = 0.2; and where the mode lies within a thousandth
-        # of a step of an inner grid point, y - c there keeps few digits
-        with np.errstate(invalid="ignore"):
-            step = (c - l) / (r - l) * (DEFAULT_GRID_POINTS - 1)
-        off = (l + (r - l) * 1.0 != r) | (
-            (np.abs(step - np.round(step)) < 1e-3) & (step > 0) & (step < DEFAULT_GRID_POINTS - 1))
-        assert 0 < off.sum() < 0.01 * off.size
-        np.testing.assert_allclose(ks[~off], old[~off], rtol=0, atol=1e-12)
-        for i in np.flatnonzero(off):
-            assert ks[i] == pytest.approx(oracle_kaufmann_support(c[i], l[i], r[i], w[i]),
-                                          abs=1e-14)
-        assert ks[0] > 0 and ks[1] > 0 and ks[2] == 0.0
+        # the 201-point grid is a rule for the same integral, and it reads low
+        gap = np.delete(ks - old, 2)
+        assert (gap > 0).all() and gap.max() < 0.01
+        assert ks[0] > 0 and ks[1] > 0 and ks[2] == old[2] == 0.0
 
     def test_matches_the_unit_support_loop_down_to_tiny_spreads(self, rng):
         c, l, r, w = _support_cells(rng, 600, 1e-9)
         assert (r - l).min() < 1e-8
         ks = kaufmann_support_table(c, l, r, w)
-        for i in range(c.size):
-            assert ks[i] == pytest.approx(oracle_kaufmann_support(c[i], l[i], r[i], w[i]),
-                                          abs=1e-14)
+        # no digits go to the support's offset: a unit support gives the same bits
+        assert np.array_equal(np.delete(ks, 2), kaufmann_support_table(0.0, 0.0, 1.0, np.delete(w, 2)))
+        loop = np.array([oracle_kaufmann_support(*cell) for cell in zip(c, l, r, w)])
+        assert ks[2] == loop[2] == 0.0
+        gap = np.delete(ks - loop, 2)
+        assert (gap > 0).all() and gap.max() < 0.01
+
+    @pytest.mark.parametrize("omega", [0.01, 0.2, 0.6, 1.0, 3.0, 100.0])
+    def test_every_support_gives_the_bits_of_one_omega(self, rng, omega):
+        c, l, r, _ = _support_cells(rng, 5_000, 1e-9)
+        ks = kaufmann_support_table(c, l, r, omega)
+        assert ks[2] == 0.0
+        assert set(np.delete(ks, 2).tolist()) == {kaufmann_support_table(0.5, 0.0, 1.0, omega)}
+
+    def test_matches_adaptive_quadrature(self):
+        w = np.logspace(-2, 2, 41)
+        ks = kaufmann_support_table(0.5, 0.0, 1.0, w)
+        np.testing.assert_allclose(ks, [quad_kaufmann(v) for v in w.tolist()], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ks + ks[::-1], 1.0, rtol=0, atol=4e-15)  # K(w) + K(1/w)
+
+    def test_the_grid_oracle_converges_to_it(self, rng):
+        c, l, r, w = (v[3:] for v in _support_cells(rng, 40, 0.05))
+        ks = kaufmann_support_table(c, l, r, w)
+        errs = [np.abs(oracle_kaufmann_support_table(c, l, r, w, n) - ks)
+                for n in (201, 2_001, 20_001)]
+        assert (errs[0] > errs[1]).all() and (errs[1] > errs[2]).all()
+        assert errs[2].max() < 1e-4
 
     @pytest.mark.parametrize("shape", [(1, 1), (16, 5), (27, 3), (41, 2), (150, 20)])
-    def test_blocks_give_the_bits_of_one_block(self, rng, monkeypatch, shape):
-        assert BLOCK_CELLS // DEFAULT_GRID_POINTS == 81
+    def test_blocks_give_the_bits_of_one_block(self, rng, shape):
         c, l, r, w = (v.reshape(shape) for v in _support_cells(rng, math.prod(shape), 0.05))
         # an (I, J) table, and per-rater c, l, r against per-item omega
         inputs = [(c, l, r, w), (c[:, :1], l[:, :1], r[:, :1], w[0])]
-        blocked = [kaufmann_support_table(*args) for args in inputs]
-        monkeypatch.setattr(fuzzy, "BLOCK_CELLS", 2 ** 40)
-        for args, got in zip(inputs, blocked):
+        tables = [kaufmann_support_table(*args) for args in inputs]
+        for args, got in zip(inputs, tables):
             assert got.shape == shape
-            assert np.array_equal(got, kaufmann_support_table(*args))
+            flat = (np.broadcast_to(v, shape).ravel() for v in args)
+            assert np.array_equal(got.ravel(), kaufmann_support_table(*flat))
         assert kaufmann_support_table(c[-1, -1], l[-1, -1], r[-1, -1], w[-1, -1]) \
-            == blocked[0][-1, -1]
+            == tables[0][-1, -1]
 
     def test_a_zero_d_input_gives_a_python_float(self):
         for args in ((3.0, 2.0, 4.0, 0.5), tuple(np.array(v) for v in (3.0, 2.0, 4.0, 0.5)),

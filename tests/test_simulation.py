@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import re
@@ -333,20 +334,20 @@ class TestRunCellAndStudy:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         want = f"threads: expected an integer, got {threads!r}"
         with pytest.raises(ValueError, match=re.escape(want)):
             run_study(tiny_design, threads=threads)
 
     def test_pool_size_is_capped_by_replications(self, fig1, monkeypatch):
         requested = []
-        real = simulation.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def recorder(max_workers, **kwargs):
             requested.append(max_workers)
             return real(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorder)
         design = SimDesign((25,), (4,), (0.5,), 2, fig1, seed=3)
         row, = run_study(design, threads=64).rows
         assert row.n_completed + row.n_failed == 2

@@ -60,6 +60,18 @@ def test_one_changed_csv_cell_is_counted(dirs):
     assert "convert.csv: differs\n  cells: 1 changed" in done.stdout
 
 
+def test_changed_csv_columns_are_named(dirs):
+    a, b = dirs
+    (b / "convert.csv").write_text(CSV.replace("1,2,3.25", "1,3,3.5"))
+    done = compare(a, b)
+    assert done.returncode == 1
+    assert ("convert.csv: differs\n"
+            "  cells: 2 changed, largest relative change 0.5\n"
+            "    item: 1 changed, largest relative change 0.5\n"
+            "    c: 1 changed, largest relative change 0.0769\n") in done.stdout
+    assert "rater" not in done.stdout
+
+
 def test_a_file_on_one_side_only_is_named(dirs):
     a, b = dirs
     (b / "extra.csv").write_text(CSV)

@@ -7,7 +7,8 @@ Usage:
 Lists every file that is in only one directory or whose bytes differ. For a
 JSON file it gives each changed top-level field with its count of changed
 values and their largest relative change |b - a| / |a|; for a CSV file,
-its changed cells and their largest relative change. A value that is not a
+its changed cells and their largest relative change, then the same for
+each changed column, named by A's header row. A value that is not a
 number on both sides (text, null, true) counts as changed with relative
 change inf, as does a number that moves away from 0. Other files are only
 named. Exits 0 when the two directories are byte-identical and 1 otherwise.
@@ -79,8 +80,17 @@ def compare_csv(text_a: str, text_b: str) -> list[str]:
     rows_b = list(csv.reader(io.StringIO(text_b)))
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return [f"  shape: {len(rows_a)} rows in A, {len(rows_b)} in B, or rows differ in length"]
-    s = _summary((x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb))
-    return [f"  cells: {_describe(*s)}"] if s else []
+    cells = [(col, x, y) for ra, rb in zip(rows_a, rows_b) for col, (x, y) in enumerate(zip(ra, rb))]
+    s = _summary((x, y) for _, x, y in cells)
+    if s is None:
+        return []
+    out = [f"  cells: {_describe(*s)}"]
+    header = rows_a[0]
+    for col in range(max(len(r) for r in rows_a)):
+        if (s := _summary((x, y) for c, x, y in cells if c == col)) is not None:
+            name = header[col] if col < len(header) else f"column {col + 1}"
+            out.append(f"    {name}: {_describe(*s)}")
+    return out
 
 
 def main(argv=None) -> int:
