@@ -20,10 +20,11 @@ last accepted evaluation; `standard_errors` evaluates a loaded fit once.
 The trait covariance of every design is Sigma = S R S: S = diag(s) holds
 the standard deviations and R = L L' a correlation matrix whose Cholesky
 factor L has unit-norm rows (identity unless unstructured), so Sigma is
-positive definite for every nonzero s. The inner Newton
-stops at gradient INNER_TOL or, failing that within INNER_MAX_ITER steps,
-where half the Newton decrement is below INNER_DECREMENT_TOL. It makes one
-value pass per iterate, and takes a common trait's (d = 1) step by division.
+positive definite for every nonzero s. The inner Newton stops at gradient
+INNER_TOL or, failing that within INNER_MAX_ITER steps, where half the
+Newton decrement is below INNER_DECREMENT_TOL. It damps a long step by the
+logistic curvature bound instead of valuing it, so it values the modes once
+per solve, and takes a common trait's (d = 1) step by division.
 
 A fit reports only through its `FitResult`, which holds its `ModelSpec`
 and its notes; `fit_from_json` reads a `fit_to_json` artifact back as the
@@ -52,8 +53,11 @@ from .tree import ResponseTree, expit
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 INNER_TOL = 1e-8
-INNER_DECREMENT_TOL = 1e-12
+INNER_DECREMENT_TOL = 1e-12  # about the rounding resolution of a rater's joint value
 INNER_MAX_ITER = 100
+# the root of e^tau = 1 + tau + tau^2: a Newton step that moves no linear
+# predictor by more than this raises a rater's joint value (`_solve_modes`)
+FULL_STEP_TAU = 1.793282132900761
 ALPHA_BOUND = 15.0
 FIRST_RADIUS = 1.0  # trust radius of the first outer step, in sigma and easiness units
 
@@ -198,12 +202,15 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
     INNER_MAX_ITER steps, half its Newton decrement is below
     INNER_DECREMENT_TOL; if any rater has not, raises EstimationError.
 
-    There is one value pass per iterate: the candidate that the line search
-    accepts is the next iterate, with its joint values and its linear
-    predictor, from which p is taken; after 50 halvings, the 51st candidate
-    is taken whatever its value. At d = 1 the Newton step is the gradient
-    over the one-entry Hessian instead of a batched 1 x 1 solve; with numpy
-    2.4.6 and its bundled OpenBLAS 0.3.31 the two have the same bits.
+    No step is valued. As |psi'''| <= psi'' for psi(x) = log(1 + e^x), a
+    rater's joint value rises along its Newton step D by at least
+    g'D (s - (e^(s tau) - 1 - s tau) / tau^2) at length s, where tau is the
+    largest move of a linear predictor (Bach 2010; Boyd & Vandenberghe 2004,
+    9.5). That bound is positive at s = 1 up to tau = FULL_STEP_TAU; above
+    it the step is damped to s = log(1 + tau) / tau, its maximizer. The joint
+    values are computed once, at the returned modes. At d = 1 the step is
+    the gradient over the one-entry Hessian, which has the bits of a batched
+    1 x 1 solve with numpy 2.4.6 and its bundled OpenBLAS 0.3.31.
     """
     sinv, logdet_sigma = _cov_inverse(sigma)
     alpha_rec = alpha.ravel()[pseudo.cell_index(pseudo.item, alpha.shape[1])]
@@ -213,18 +220,10 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
     flat = pseudo.cell_index(rater, d)
     size = n_raters * d
     eta = np.zeros((n_raters, d)) if eta0 is None else eta0.copy()
-    prior_const = -0.5 * d * LOG_2PI - 0.5 * logdet_sigma
     idx = np.arange(d)
 
-    def per_rater_value(e):
-        """Per-rater joint values at e, and each record's linear predictor."""
-        lp = e.ravel()[flat] + alpha_rec
-        ll = np.bincount(rater, weights=z * lp - np.logaddexp(0.0, lp), minlength=n_raters)
-        quad = np.einsum("id,de,ie->i", e, sinv, e)
-        return ll - 0.5 * quad + prior_const, lp
-
-    f_cur, lp = per_rater_value(eta)
     for it in range(INNER_MAX_ITER + 1):
+        lp = eta.ravel()[flat] + alpha_rec
         p = expit(lp)
         grad = np.bincount(flat, weights=z - p, minlength=size).reshape(n_raters, d)
         grad -= eta @ sinv
@@ -233,29 +232,26 @@ def _solve_modes(alpha, sigma, pseudo: PseudoData, eta0=None):
         neg_hess = np.broadcast_to(sinv, (n_raters, d, d)).copy()
         neg_hess[:, idx, idx] += w
         if gmax.max() < INNER_TOL:
-            return sinv, flat, eta, neg_hess, f_cur, p
+            break
         step = (grad / neg_hess[:, 0] if d == 1
                 else np.linalg.solve(neg_hess, grad[..., None])[..., 0])
         if it == INNER_MAX_ITER:
             # half of g'H^-1 g is the gain in f that the Newton step promises;
-            # below the line search's 1e-12 resolution in f, the mode is found
+            # below INNER_DECREMENT_TOL it is lost in f's rounding
             if 0.5 * np.einsum("id,id->i", grad, step).max() < INNER_DECREMENT_TOL:
-                return sinv, flat, eta, neg_hess, f_cur, p
-            break
-        scale = np.ones(n_raters)
-        for halvings in range(51):
-            cand = eta + scale[:, None] * step
-            f_new, lp_new = per_rater_value(cand)
-            worse = f_new < f_cur - INNER_DECREMENT_TOL
-            if halvings == 50 or not worse.any():
                 break
-            scale[worse] *= 0.5
-        eta, f_cur, lp = cand, f_new, lp_new
-    bad = int(gmax.argmax())
-    raise EstimationError(
-        f"inner Newton failed to converge for rater {bad} "
-        f"(gradient norm {gmax[bad]:.3g})"
-    )
+            bad = int(gmax.argmax())
+            raise EstimationError(
+                f"inner Newton failed to converge for rater {bad} "
+                f"(gradient norm {gmax[bad]:.3g})"
+            )
+        tau = np.abs(step).max(axis=1)
+        long = np.maximum(tau, FULL_STEP_TAU)  # no 0/0 at tau = 0
+        eta = eta + np.where(tau > FULL_STEP_TAU, np.log1p(long) / long, 1.0)[:, None] * step
+    ll = np.bincount(rater, weights=z * lp - np.logaddexp(0.0, lp), minlength=n_raters)
+    quad = np.einsum("id,de,ie->i", eta, sinv, eta)
+    prior_const = -0.5 * d * LOG_2PI - 0.5 * logdet_sigma
+    return sinv, flat, eta, neg_hess, ll - 0.5 * quad + prior_const, p
 
 
 def _expand_modes(eta, N: int) -> np.ndarray:

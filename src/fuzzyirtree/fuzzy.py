@@ -133,10 +133,11 @@ def membership(f: Tfn4, y):
 def _moments(p):
     """Mean and variance of distributions over 1..M along the last axis."""
     y = np.arange(1, p.shape[-1] + 1, dtype=float)
-    c = p @ y
-    # c * c is what an array's c**2 computes; a numpy scalar's c**2 calls pow,
-    # which can be an ulp off, and one cell must convert as it does in a table
-    return c, np.maximum(p @ y**2 - c * c, 0.0)
+    # one cell must convert as it does in a table: einsum sums a row alike in
+    # any layout (p @ y takes dot for one row, gemv for more), and c * c is an
+    # array's c**2 (a numpy scalar's c**2 calls pow, which can be an ulp off)
+    c = np.einsum("...m,m->...", p, y)
+    return c, np.maximum(np.einsum("...m,m->...", p, y * y) - c * c, 0.0)
 
 
 def _link(cn, sn):

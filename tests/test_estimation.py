@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import re
 import warnings
 
@@ -57,6 +58,10 @@ CASE_STUDY_ALPHA = np.array([
     [-0.71, 0.05, -0.28, 0.04],
 ])
 CASE_STUDY_SPEC = ("per-node", "per-node", "unstructured")
+
+# (prior variance, start) of one rater far from its mode, at every mode entry
+FAR_STARTS = [(1e17, -40.0), (1e18, 40.0)]
+FAR_START_IDS = ["1e17-below", "1e18-above"]
 
 
 def case_study_stand_in(seed, I=1000):
@@ -240,12 +245,13 @@ def information_at(x, pseudo, spec, eta0):
     return _observed_information(x, _evaluate(x, pseudo, spec, eta0)[2], pseudo, spec)
 
 
-def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, exhausted=None):
-    """The inner Newton as first written, kept as a bit-for-bit oracle: it
-    values every accepted iterate a second time, takes p from a second
-    linear predictor and takes the d = 1 step with a batched 1 x 1 solve.
-    Each line search that runs out of its 50 halvings appends its Newton
-    step number to the list `exhausted`, when one is given."""
+def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, values=None, damped=None):
+    """The inner Newton kept as a bit-for-bit oracle: it values every
+    iterate, takes p from a second linear predictor, takes the d = 1 step
+    with a batched 1 x 1 solve and damps a step rater by rater. Each
+    iterate's per-rater joint values go to the list `values`, and the
+    number of each Newton step that damps a rater to the list `damped`,
+    when they are given."""
     sinv, logdet_sigma = estimation._cov_inverse(sigma)
     alpha_rec = alpha.ravel()[pseudo.cell_index(pseudo.item, alpha.shape[1])]
     d = sinv.shape[0]
@@ -263,8 +269,10 @@ def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, exhausted=None):
         quad = np.einsum("id,de,ie->i", e, sinv, e)
         return ll - 0.5 * quad + prior_const
 
-    f_cur = per_rater_value(eta)
     for it in range(estimation.INNER_MAX_ITER + 1):
+        f_cur = per_rater_value(eta)
+        if values is not None:
+            values.append(f_cur)
         p = expit(eta.ravel()[flat] + alpha_rec)
         grad = np.bincount(flat, weights=z - p, minlength=size).reshape(n_raters, d)
         grad -= eta @ sinv
@@ -279,19 +287,13 @@ def oracle_solve_modes(alpha, sigma, pseudo, eta0=None, exhausted=None):
             if 0.5 * np.einsum("id,id->i", grad, step).max() < estimation.INNER_DECREMENT_TOL:
                 return sinv, flat, eta, neg_hess, f_cur, p
             break
+        tau = np.abs(step).max(axis=1)
+        long = tau > estimation.FULL_STEP_TAU
         scale = np.ones(n_raters)
-        for _ in range(50):
-            cand = eta + scale[:, None] * step
-            f_new = per_rater_value(cand)
-            worse = f_new < f_cur - estimation.INNER_DECREMENT_TOL
-            if not worse.any():
-                break
-            scale[worse] *= 0.5
-        else:
-            if exhausted is not None:
-                exhausted.append(it)
+        scale[long] = np.log1p(tau[long]) / tau[long]
+        if long.any() and damped is not None:
+            damped.append(it)
         eta = eta + scale[:, None] * step
-        f_cur = per_rater_value(eta)
     bad = int(gmax.argmax())
     raise EstimationError(
         f"inner Newton failed to converge for rater {bad} "
@@ -595,9 +597,9 @@ class TestInnerNewtonOracle:
         return x[:n_alpha].reshape(J, spec.item_cols), _cov_map(x[n_alpha:], spec)[0], pseudo
 
     @staticmethod
-    def _oracle(monkeypatch, alpha, sigma, pseudo, eta0=None, exhausted=None):
+    def _oracle(monkeypatch, alpha, sigma, pseudo, eta0=None, damped=None):
         """`laplace_marginal_loglik` on `oracle_solve_modes`."""
-        oracle = functools.partial(oracle_solve_modes, exhausted=exhausted)
+        oracle = functools.partial(oracle_solve_modes, damped=damped)
         with monkeypatch.context() as m:
             m.setattr(estimation, "_solve_modes", oracle)
             return laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0)
@@ -636,29 +638,55 @@ class TestInnerNewtonOracle:
         got = laplace_marginal_loglik(alpha, sigma, pseudo, eta0=eta0)[0]
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("d", [1, 4])
-    @pytest.mark.parametrize(
-        "sd2,start,converges", [(1e17, -40.0, True), (1e18, 40.0, False)],
-        ids=["recovers", "fails"],
-    )
-    def test_exhausted_halvings(self, d, sd2, start, converges, fig1, monkeypatch):
-        # with a prior variance near 1e17 the curvature is p(1 - p), about
-        # e^-40 at |eta| = 40: the Newton step overshoots by many orders of
-        # magnitude and 50 halvings do not bring it back to a better value
+    @staticmethod
+    def _far_start(d, sd2, start, fig1):
+        """One rater at a far start: with a prior variance near 1e17 the
+        curvature is p(1 - p), about e^-40 at |eta| = 40, and the Newton step
+        overshoots by many orders of magnitude."""
         pseudo = PseudoData.from_ratings(RatingMatrix(np.array([[4, 4, 5]]), 5), fig1)
-        args = (np.zeros((3, 1)), sd2 * np.eye(d), pseudo)
-        eta0 = np.full((1, d), start)
-        exhausted = []
-        if converges:
-            want = self._oracle(monkeypatch, *args, eta0, exhausted)
-            self._assert_same(laplace_marginal_loglik(*args, eta0=eta0), want)
-        else:
-            with pytest.raises(EstimationError) as want:
-                self._oracle(monkeypatch, *args, eta0, exhausted)
-            with pytest.raises(EstimationError) as got:
-                laplace_marginal_loglik(*args, eta0=eta0)
-            assert str(got.value) == str(want.value)
-        assert exhausted
+        return (np.zeros((3, 1)), sd2 * np.eye(d), pseudo), np.full((1, d), start)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("sd2,start", FAR_STARTS, ids=FAR_START_IDS)
+    def test_far_start_converges(self, d, sd2, start, fig1, monkeypatch):
+        # the damped step brings the rater back with no value test, where 50
+        # step halvings left the 1e18 case short of a better value
+        args, eta0 = self._far_start(d, sd2, start, fig1)
+        damped = []
+        want = self._oracle(monkeypatch, *args, eta0, damped)
+        self._assert_same(laplace_marginal_loglik(*args, eta0=eta0), want)
+        assert damped
+
+    @classmethod
+    def _assert_ascends(cls, alpha, sigma, pseudo, eta0=None):
+        values = []
+        want = oracle_solve_modes(alpha, sigma, pseudo, eta0, values=values)
+        cls._assert_same(estimation._solve_modes(alpha, sigma, pseudo, eta0), want)
+        f = np.array(values)
+        assert np.all(f[1:] >= f[:-1] - 1e-12 * np.abs(f[:-1]))
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    @pytest.mark.parametrize("preset", ["fig1-5cat", "fig2-6cat"])
+    @pytest.mark.parametrize("design", DESIGNS, ids="/".join)
+    def test_every_step_ascends(self, design, preset, start):
+        alpha, sigma, pseudo = self._case(preset, design, 200, 6)
+        eta0 = None if start == "cold" else oracle_solve_modes(alpha + 0.3, sigma, pseudo)[2]
+        self._assert_ascends(alpha, sigma, pseudo, eta0)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("sd2,start", FAR_STARTS, ids=FAR_START_IDS)
+    def test_every_step_ascends_from_a_far_start(self, d, sd2, start, fig1):
+        args, eta0 = self._far_start(d, sd2, start, fig1)
+        self._assert_ascends(*args, eta0)
+
+    def test_full_step_bound_is_the_root(self):
+        # e^tau = 1 + tau + tau^2, whose residual changes sign across the root
+        def residual(tau):
+            return math.expm1(tau) - tau - tau * tau
+
+        tau = estimation.FULL_STEP_TAU
+        assert abs(residual(tau)) < 1e-15
+        assert residual(tau * (1 - 1e-13)) < 0 < residual(tau * (1 + 1e-13))
 
 
 class TestCovarianceMap:

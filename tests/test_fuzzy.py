@@ -497,6 +497,16 @@ class TestConvert:
             f = convert(MultiverseDistribution(p), M)
             assert [f.c, f.l, f.r, f.omega, f.clamped] == [v[0] for v in convert_table(p[None, :])]
 
+    @pytest.mark.parametrize("M", [4, 5, 6, 7])
+    def test_one_cell_converts_as_its_row_of_a_table(self, M):
+        # a matrix product takes dot for one row and BLAS gemv for more, whose
+        # sums can differ in the last ulp; the layout must not reach the bits
+        p = np.random.default_rng(M).dirichlet(np.full(M, 0.5), size=1000)
+        table = convert_table(p)
+        for i, row in enumerate(p):
+            f = convert(MultiverseDistribution(row), M)
+            assert [f.c, f.l, f.r, f.omega, f.clamped] == [v[i] for v in table]
+
     def test_near_crisp_six_categories_keeps_order(self):
         # the degenerate branch maps back as 1 + 5 ((c - 1) / 5), which is
         # not c; the endpoints must still not cross the mode
@@ -511,8 +521,7 @@ class TestConvert:
 
     @pytest.mark.parametrize("M", [3, 5, 6])
     def test_table_of_any_leading_shape(self, M):
-        # matmul gives a table row the bits of the same row in any table of
-        # two or more rows; a one-row table (J = 1) takes numpy's dot path
+        # a table row has the bits of the same row in a table of any shape
         p = np.random.default_rng(M).dirichlet(np.ones(M), size=(30, 7))
         flat = convert_table(p.reshape(-1, M))
         for got, want in zip(convert_table(p), flat, strict=True):
